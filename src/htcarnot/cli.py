@@ -223,7 +223,7 @@ def cmd_exp(args) -> int:
 
 
 def cmd_log(args) -> int:
-    sc, seed = _structure(args)
+    sc, _ = _structure(args)
     x = np.asarray(args.x)
     z = np.asarray(args.z)
     if x.shape != (sc.rank,) or z.shape != (sc.corank,):
@@ -235,7 +235,7 @@ def cmd_log(args) -> int:
     try:
         lam = log_map(sc, target)
     except CutLocusTarget:
-        bound = distance_bound(sc, target, seed=seed)
+        bound = distance_bound(sc, target)
         print("cut locus target: no covector in the injectivity domain "
               "reaches this point")
         print(f"distance upper bound: {_fmt(bound)}")
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     except (SpecNotRealizable, StructureInvalid) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (WitnessNotFound, NoCandidateFound) as exc:
+    except (WitnessNotFound, NoCandidateFound, CutLocusTarget) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
     except HTCarnotError as exc:

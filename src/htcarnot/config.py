@@ -22,13 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SpecNotRealizable
+from .errors import ConfigError
 from .randomness import DEFAULT_SEED
 from .structure import (
     GroupSpec,
     StructureConstants,
     build_structure,
-    existence_check,
     structure_from_matrices,
 )
 
@@ -54,9 +53,6 @@ class ParsedConfig:
     def realize(self) -> StructureConstants:
         """Build structure constants, running the appropriate validation."""
         if self.spec is not None:
-            ok = existence_check(self.spec)
-            if not ok:
-                raise SpecNotRealizable(ok.detail)
             return build_structure(self.spec)
         return structure_from_matrices(self.s_diagonal, self.l_matrices,
                                        tol=self.tolerance)

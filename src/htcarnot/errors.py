@@ -34,7 +34,7 @@ class CutLocusTarget(HTCarnotError):
 
 
 class NoCandidateFound(HTCarnotError):
-    """Boundary-covector search never reached the residual threshold."""
+    """No covector at the cut time reaches the target (the closed form fails)."""
 
 
 class WitnessNotFound(HTCarnotError):

@@ -9,11 +9,11 @@ branch introduces a jump.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     CutLocusTarget,
@@ -23,8 +23,7 @@ from .errors import (
     OutOfDomain,
     ZeroCovector,
 )
-from .group import GroupPoint, identity, inverse, multiply
-from .randomness import DEFAULT_SEED, generator, unit_vector
+from .group import GroupPoint, inverse, multiply
 from .structure import StructureConstants, l_of_v
 
 _SMALL_THETA = 1e-4
@@ -132,8 +131,7 @@ def _cos(theta):
 
 
 def _neg_sinc(theta):
-    out = sinc(theta)
-    return -out if np.ndim(out) == 0 else -out
+    return -sinc(theta)
 
 
 # (1 - e^-z)/z: the endpoint map for the horizontal coordinates
@@ -154,6 +152,8 @@ class Covector:
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.u, dtype=np.float64))
         v = np.atleast_1d(np.asarray(self.v, dtype=np.float64))
+        if not all(map(math.isfinite, u.tolist() + v.tolist())):
+            raise ValueError(f"covector components must be finite, got u={u}, v={v}")
         u.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "u", u)
@@ -461,7 +461,7 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Distance value plus whether it came from an exact log or a search bound."""
+    """Distance value plus whether it is exact (log map or cut-locus formula)."""
 
     value: float
     exact: bool
@@ -473,9 +473,9 @@ class DistanceResult:
 def distance(sc: StructureConstants, p: GroupPoint, q: GroupPoint) -> DistanceResult:
     """Carnot-Caratheodory distance d(p, q), total on all pairs.
 
-    Left-invariant reduction to d(e, p^{-1} q); exact (|u| of the log) on the
-    diffeomorphic image, and an upper bound from the boundary search on the
-    cut locus, flagged by ``exact=False``.
+    Left-invariant reduction to d(e, p^{-1} q); |u| of the log on the
+    diffeomorphic image and the closed form of :func:`distance_bound` on
+    the cut locus, both exact.
     """
     target = multiply(sc, inverse(p), q)
     try:
@@ -483,24 +483,15 @@ def distance(sc: StructureConstants, p: GroupPoint, q: GroupPoint) -> DistanceRe
     except IdentityTarget:
         return DistanceResult(0.0, True)
     except CutLocusTarget:
-        return DistanceResult(distance_bound(sc, target), False)
+        return DistanceResult(distance_bound(sc, target), True)
     return DistanceResult(float(np.linalg.norm(lam.u)), True)
 
 
-_BOUND_STARTS = 32
-_BOUND_ITER = 500
-_BOUND_RESIDUAL = 1e-8
+_CUT_RESIDUAL = 1e-8
 
 
-def distance_bound(sc: StructureConstants, target: GroupPoint,
-                   seed: int = DEFAULT_SEED) -> float:
-    """Upper bound on d(e, target) for cut-locus targets.
-
-    Minimizes |u| over covectors with |v| pinned to the first conjugate
-    radius whose endpoint matches the target to residual 1e-8.  The search
-    runs 32 seeded Nelder-Mead starts over (u, v-direction) with a quadratic
-    penalty tightened in three stages; it is deterministic for a fixed seed.
-    """
+def _cut_locus_covector(sc: StructureConstants, target: GroupPoint) -> Covector:
+    # The covector whose |u| distance_bound returns; see its docstring.
     if target.x.shape != (sc.rank,) or target.z.shape != (sc.corank,):
         raise DimensionMismatch("target dimensions do not match the structure")
     if not np.any(target.x) and not np.any(target.z):
@@ -509,52 +500,45 @@ def distance_bound(sc: StructureConstants, target: GroupPoint,
     if zn == 0.0:
         raise ValueError(
             "targets with z = 0 are reached by straight lines and belong to "
-            "log_map, not the boundary search"
+            "log_map, not the cut-locus formula"
         )
     radius = sc.first_conjugate_radius
-    k, p = sc.rank, sc.corank
-    tvec = target.as_vector()
-    u_scale = np.sqrt(sc.alpha_max * zn) + float(np.linalg.norm(target.x))
-
-    def endpoint_gap2(u, w):
-        wn = np.linalg.norm(w)
-        if wn < 1e-12:
-            return None
-        pt = exp_map(sc, Covector(u, (radius / wn) * w))
-        d = pt.as_vector() - tvec
-        return float(d @ d)
-
-    def objective(mu):
-        def fn(raw):
-            u, w = raw[:k], raw[k:]
-            gap2 = endpoint_gap2(u, w)
-            if gap2 is None:
-                return 1e30
-            return float(u @ u) + mu * gap2
-        return fn
-
-    rng = generator(seed, stream=7)
-    best = None
-    for _ in range(_BOUND_STARTS):
-        raw = np.concatenate((u_scale * rng.standard_normal(k), unit_vector(rng, p)))
-        for mu in (1e4, 1e8, 1e12):
-            res = optimize.minimize(
-                objective(mu), raw, method="Nelder-Mead",
-                options={"maxiter": _BOUND_ITER, "xatol": 1e-13, "fatol": 1e-16},
-            )
-            raw = res.x
-        u, w = raw[:k], raw[k:]
-        gap2 = endpoint_gap2(u, w)
-        if gap2 is not None and np.sqrt(gap2) <= _BOUND_RESIDUAL:
-            val = float(np.linalg.norm(u))
-            if best is None or val < best:
-                best = val
-    if best is None:
+    vhat = target.z / zn
+    top = sc.blocks[-1].indices
+    x = target.x.copy()
+    x[top] = 0.0
+    u = _apply_f_inverse(sc, radius * vhat, x)
+    h3_top = theta_minus_sin_over_cube(sc.alpha_max * radius)
+    top2 = (zn - _vertical_reach(sc, x, vhat, radius)) / (0.5 * radius * sc.alpha_max**2 * h3_top)
+    if not top2 >= 0.0:
+        raise NoCandidateFound(f"the lower eigenblocks alone overshoot |z| = {zn:.6g}")
+    u[top[0]] = np.sqrt(top2)
+    lam = Covector(u, radius * vhat)
+    residual = float(np.linalg.norm(exp_map(sc, lam).as_vector() - target.as_vector()))
+    if not residual <= _CUT_RESIDUAL:
         raise NoCandidateFound(
-            f"no boundary covector reached the target within residual "
-            f"{_BOUND_RESIDUAL:g} after {_BOUND_STARTS} starts"
+            f"the cut-locus covector misses the target by {residual:.3e} > "
+            f"{_CUT_RESIDUAL:g}; x must vanish on the top eigenblock"
         )
-    return best
+    return lam
+
+
+def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
+    """Distance d(e, target) for cut-locus targets, in closed form.
+
+    The minimizing covector has v = R z/|z| with R = 2 pi / alpha_max, so
+    its cut time is exactly 1 and |u| is the distance, not only a bound.
+    On ker S u_0 = x_0; below the top eigenblock u_j = f(L_v)^{-1} x_j; and
+
+        |u_top|^2 = (|z| - (R/2) sum_lower alpha_j^2 h3(alpha_j R) |u_j|^2)
+                    / ((R/2) alpha_max^2 h3(2 pi))
+
+    with h3 = theta_minus_sin_over_cube; u_top lies on the first axis of the
+    top block.  On Heisenberg this is sqrt(4 pi |z|).  Raises
+    NoCandidateFound when |u_top|^2 < 0 or the endpoint misses the target by
+    more than 1e-8 (x does not vanish on the top block).
+    """
+    return float(np.linalg.norm(_cut_locus_covector(sc, target).u))
 
 
 def homothety(sc: StructureConstants, x0: GroupPoint, y: GroupPoint, t: float) -> GroupPoint:

@@ -7,6 +7,7 @@ making the frame returned by :func:`frame_fields` left-invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ class GroupPoint:
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x, dtype=np.float64))
         z = np.atleast_1d(np.asarray(self.z, dtype=np.float64))
+        if not all(map(math.isfinite, x.tolist() + z.tolist())):
+            raise ValueError(f"point coordinates must be finite, got x={x}, z={z}")
         x.flags.writeable = False
         z.flags.writeable = False
         object.__setattr__(self, "x", x)

@@ -205,6 +205,8 @@ class CovectorBox:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=np.float64))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower and upper must be equal-length vectors")
+        if not all(map(math.isfinite, lo.tolist() + hi.tolist())):
+            raise ValueError("box corners must be finite")
         if not np.all(lo < hi):
             raise ValueError("box corners must satisfy lower < upper componentwise")
         lo.flags.writeable = False

@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 CHUNK = 1 << 16
 
@@ -41,7 +40,7 @@ def gauss_legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1]; cached, read-only."""
     if npts < 1:
         raise ValueError("need at least one quadrature point")
-    x, w = roots_legendre(npts)
+    x, w = np.polynomial.legendre.leggauss(npts)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

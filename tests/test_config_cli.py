@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from htcarnot import ConfigError, SpecNotRealizable, parse_config
+import htcarnot.errors
+from htcarnot import ConfigError, SpecNotRealizable, cli, parse_config
 
 
 def write_config(tmp_path, payload, name="group.json"):
@@ -164,6 +165,16 @@ def test_validate_unrealizable_spec_exits_one(tmp_path):
     assert "FAIL" in res.stdout
 
 
+def test_unrealizable_spec_exits_one_outside_validate(tmp_path):
+    payload = {"rank": 2, "corank": 2,
+               "spectrum": [{"alpha": 1.0, "pair_multiplicity": 1}],
+               "kernel_dim": 0}
+    res = run_cli("exp", str(write_config(tmp_path, payload)),
+                  "--u", "1,0", "--v", "0,0")
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation failure: Hurwitz-Radon bound violated")
+
+
 def test_validate_broken_matrices_exits_one(tmp_path):
     bad = {"S_diagonal": [1.0, 1.0],
            "L_matrices": [[[0.0, 1.0], [1.0, 0.0]]]}  # symmetric, not skew
@@ -223,8 +234,69 @@ def test_log_round_trip_stdout():
 def test_log_cut_locus_exits_two():
     res = run_cli("log", "--group", "heisenberg3", "--x", "0,0", "--z", "1")
     assert res.returncode == 2
-    assert "cut locus" in res.stdout
-    assert "distance upper bound" in res.stdout
+    assert res.stdout == (
+        "cut locus target: no covector in the injectivity domain reaches this point\n"
+        f"distance upper bound: {float(np.sqrt(4.0 * np.pi))!r}\n"
+    )
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("exp", "--u", "nan,0"), ("exp", "--u", "inf,0"),
+    ("exp", "--v", "nan"), ("exp", "--v", "-inf"),
+    ("log", "--x", "nan,0"), ("log", "--x", "0,inf"),
+    ("log", "--z", "nan"), ("log", "--z", "inf"),
+])
+def test_non_finite_inputs_exit_three(tmp_path, command, flag, value):
+    args = {"exp": {"--u": "1,0", "--v": "1"}, "log": {"--x": "0.5,0", "--z": "1"}}[command]
+    args[flag] = value
+    out = tmp_path / "arc.csv"
+    argv = [command, "--group", "heisenberg3"]
+    argv += [f"{k}={v}" for k, v in args.items()]
+    if command == "exp":
+        argv += ["--out", str(out)]
+    res = run_cli(*argv)
+    assert res.returncode == 3
+    assert "finite" in res.stderr
+    assert not out.exists()
+
+
+# documented exit code of every library error raised inside a subcommand
+EXIT_CODES = {
+    htcarnot.errors.HTCarnotError: 3,
+    htcarnot.errors.DimensionMismatch: 3,
+    htcarnot.errors.SpecNotRealizable: 1,
+    htcarnot.errors.StructureInvalid: 1,
+    htcarnot.errors.OutOfDomain: 3,
+    htcarnot.errors.ZeroCovector: 3,
+    htcarnot.errors.IdentityTarget: 3,
+    htcarnot.errors.CutLocusTarget: 2,
+    htcarnot.errors.NoCandidateFound: 2,
+    htcarnot.errors.WitnessNotFound: 2,
+    htcarnot.errors.BoxOutsideDomain: 3,
+    htcarnot.errors.UnsupportedPositiveK: 3,
+    htcarnot.errors.ConfigError: 3,
+}
+
+
+def test_every_library_error_maps_to_its_exit_code(monkeypatch, capsys):
+    classes = {htcarnot.errors.HTCarnotError,
+               *htcarnot.errors.HTCarnotError.__subclasses__()}
+    assert classes == set(EXIT_CODES)
+    for cls, code in EXIT_CODES.items():
+        def raise_it(args, cls=cls):
+            raise cls("boom")
+        monkeypatch.setitem(cli._COMMANDS, "validate", raise_it)
+        assert cli.main(["validate", "--group", "heisenberg3"]) == code, cls.__name__
+        assert "boom" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, htcarnot; assert 'scipy' not in sys.modules, sorted(sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
 
 
 def test_mcp_pass_and_csv(tmp_path):

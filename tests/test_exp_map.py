@@ -88,6 +88,14 @@ def test_geodesic_sample_consistency(group):
         geodesic_sample(group, lam, [0.5, 1.2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_covector_rejects_non_finite_components(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Covector([bad, 0.0], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        Covector([1.0, 0.0], [bad])
+
+
 def test_hamiltonian_is_half_speed_squared():
     lam = Covector([3.0, 4.0], [9.9])
     assert hamiltonian(lam) == 12.5

@@ -143,3 +143,11 @@ def test_point_vector_round_trip(group):
     p = random_point(group, rng)
     q = GroupPoint.from_vector(p.as_vector(), group.rank)
     assert np.array_equal(p.as_vector(), q.as_vector())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GroupPoint([bad, 0.0], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        GroupPoint([1.0, 0.0], [bad])

@@ -8,6 +8,8 @@ from htcarnot import (
     CutLocusTarget,
     GroupPoint,
     IdentityTarget,
+    NoCandidateFound,
+    catalog_structure,
     cut_time,
     distance,
     distance_bound,
@@ -16,6 +18,7 @@ from htcarnot import (
     homothety,
     log_map,
 )
+from htcarnot.geodesics import _cut_locus_covector
 
 from conftest import seeded_covectors
 
@@ -88,21 +91,46 @@ def test_heisenberg_vertical_distance_closed_form(heis):
     origin = GroupPoint(np.zeros(2), np.zeros(1))
     for z in (1.0, 0.25, 3.0):
         d = distance(heis, origin, GroupPoint([0.0, 0.0], [z]))
-        assert not d.exact
-        assert float(d) == pytest.approx(np.sqrt(4.0 * np.pi * z), abs=1e-6)
+        assert d.exact
+        assert float(d) == pytest.approx(np.sqrt(4.0 * np.pi * z), abs=1e-12)
 
 
 def test_distance_bound_frozen_value(heis):
     got = distance_bound(heis, GroupPoint([0.0, 0.0], [1.0]))
-    assert got == pytest.approx(3.544907701799845, abs=1e-12)
-    assert got == pytest.approx(np.sqrt(4.0 * np.pi), abs=1e-6)
+    assert got == pytest.approx(3.5449077018110318, abs=1e-12)
+    assert got == pytest.approx(np.sqrt(4.0 * np.pi), abs=1e-12)
 
 
-def test_distance_bound_deterministic_by_seed(heis):
-    target = GroupPoint([0.0, 0.0], [0.7])
-    a = distance_bound(heis, target, seed=123)
-    b = distance_bound(heis, target, seed=123)
-    assert a == b
+@pytest.mark.parametrize("name, x, z, expected", [
+    ("heisenberg3", [0.0, 0.0], [1.0], 3.5449077018110318),
+    ("contact12", [0.0, 0.0, 0.0, 0.0], [1.3], 2.8579959585929195),
+    ("contact12", [0.3, -0.2, 0.0, 0.0], [1.5], 3.0699801238394655),
+    ("htype4x3", [0.0, 0.0, 0.0, 0.0], [0.3, 0.4, -0.5], 2.9809001788581804),
+    ("degenerate-corank1", [0.3, -0.7, 0.0, 0.0], [0.2], 1.7587706282718716),
+], ids=["heisenberg3", "contact12", "contact12-lower-x", "htype4x3",
+        "degenerate-corank1-kernel-x"])
+def test_distance_bound_closed_form_values(name, x, z, expected):
+    # cut-locus distances on every catalog group, from the closed form
+    sc = catalog_structure(name)
+    target = GroupPoint(x, z)
+    with pytest.raises(CutLocusTarget):
+        log_map(sc, target)
+    got = distance_bound(sc, target)
+    assert got == pytest.approx(expected, abs=1e-12)
+    lam = _cut_locus_covector(sc, target)
+    assert float(np.linalg.norm(lam.u)) == got
+    assert np.linalg.norm(lam.v) == pytest.approx(sc.first_conjugate_radius, rel=1e-15)
+    gap = exp_map(sc, lam).as_vector() - target.as_vector()
+    assert np.linalg.norm(gap) <= 1e-12
+
+
+def test_distance_bound_rejects_targets_off_the_formula(contact):
+    # x on the top eigenblock cannot be reached at |v| = R
+    with pytest.raises(NoCandidateFound):
+        distance_bound(contact, GroupPoint([0.0, 0.0, 0.1, 0.0], [1.0]))
+    # the lower blocks alone already overshoot |z|
+    with pytest.raises(NoCandidateFound):
+        distance_bound(contact, GroupPoint([3.0, 0.0, 0.0, 0.0], [0.01]))
 
 
 def test_distance_bound_rejects_reachable_targets(heis):

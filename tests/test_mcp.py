@@ -196,6 +196,14 @@ def test_box_validation():
         box.lower[0] = 5.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_box_rejects_non_finite_corners(bad):
+    with pytest.raises(ValueError, match="finite"):
+        CovectorBox([bad, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        CovectorBox([0.0, 0.0], [1.0, bad])
+
+
 def test_default_box_geometry(group):
     box = default_box(group)
     k, p = group.rank, group.corank
