@@ -274,10 +274,6 @@ def _parse_box(sc, text: str) -> CovectorBox:
 
 def cmd_mcp(args) -> int:
     sc, _ = _structure(args)
-    if args.K > 0.0:
-        raise UnsupportedPositiveK(
-            f"K = {args.K} > 0 requires a bounded space; these groups are unbounded"
-        )
     n_claimed = geodesic_dimension(sc.spec) if args.N is None else args.N
     box = _parse_box(sc, args.box)
     report = mcp_report(sc, args.K, n_claimed, box, args.t_grid, args.quad,
@@ -303,8 +299,6 @@ def cmd_mcp(args) -> int:
 
 def cmd_sharpness(args) -> int:
     sc, _ = _structure(args)
-    if not 0.0 < args.epsilon <= 1.0:
-        raise ConfigError(f"--epsilon must lie in (0, 1], got {args.epsilon}")
     try:
         box, report = sharpness_witness(sc, args.epsilon)
     except WitnessNotFound as exc:

@@ -144,10 +144,6 @@ def _parse_spectral(data) -> GroupSpec:
         else:
             merged.append((alpha, mult))
 
-    expected = kernel_dim + 2 * sum(m for _, m in merged)
-    if rank != expected:
-        raise _fail(f"rank {rank} does not equal kernel_dim + 2*sum(multiplicities) "
-                    f"= {expected}")
     try:
         return GroupSpec(rank=rank, corank=corank, spectrum=tuple(merged),
                          kernel_dim=kernel_dim)

@@ -1,8 +1,11 @@
 """Optimal geodesic synthesis: exponential map, Jacobian, log map, distances.
 
-Everything here reduces to scalar functions of the block angles
-theta_j = alpha_j |v|, because L_v squares to -|v|^2 S^2 and S is diagonal.
-Each scalar helper switches to a short Taylor series below theta = 1e-4, so
+S is diagonal and L_v squares to -|v|^2 S^2, so every analytic function of
+L_v acts on horizontal coordinate c as even(theta_c) + odd(theta_c) L_v,
+with the per-coordinate angle theta_c = s_c |v| (s = diag S).  On ker S,
+theta_c = 0 and L_v vanishes.  Everything here therefore reduces to scalar
+functions of these angles, evaluated on all coordinates at once.  Each
+scalar helper switches to a short Taylor series below theta = 1e-4, so
 all removable singularities at v = 0 evaluate to their exact limits and no
 branch introduces a jump.
 """
@@ -110,8 +113,8 @@ def _poly(t, *coeffs):
 class AnalyticPair:
     """Even/odd scalar decomposition of an analytic function of L_v.
 
-    On the eigenblock with angle theta the matrix function acts as
-    even_part(theta) * I + odd_part(theta) * L_v.
+    On horizontal coordinate c, with angle theta_c = s_c |v|, the matrix
+    function acts as even_part(theta_c) * I + odd_part(theta_c) * L_v.
     """
 
     name: str
@@ -201,23 +204,29 @@ def spectral_split(sc: StructureConstants, lam: Covector) -> SpectralSplit:
 
 
 def apply_analytic(sc: StructureConstants, v, fn: AnalyticPair, w) -> np.ndarray:
-    """Evaluate fn(L_v) w through the even/odd calculus, block by block."""
+    """Evaluate fn(L_v) w as even(theta) w + odd(theta) L_v w, theta = s |v|."""
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     if v.shape != (sc.corank,) or w.shape != (sc.rank,):
         raise DimensionMismatch(
             f"shapes v{v.shape}, w{w.shape}; expected ({sc.corank},), ({sc.rank},)"
         )
-    vn = float(np.linalg.norm(v))
-    lw = l_of_v(sc, v) @ w
-    out = np.empty_like(w)
-    ker = sc.kernel_indices
-    if ker.size:
-        out[ker] = fn.even_part(0.0) * w[ker]  # L_v vanishes on ker S
-    for b in sc.blocks:
-        th = b.alpha * vn
-        out[b.indices] = fn.even_part(th) * w[b.indices] + fn.odd_part(th) * lw[b.indices]
-    return out
+    theta = sc.s_diag * float(np.linalg.norm(v))
+    return fn.even_part(theta) * w + fn.odd_part(theta) * (l_of_v(sc, v) @ w)
+
+
+def _exp_rows(sc, u, v):
+    # exp at the covectors (u_i, v_i), the rows of u (m, k) and v (m, p).
+    # Only elementwise products and row sums are used, so the bits of a row
+    # do not depend on the other rows: geodesic_sample matches exp_map.
+    vn = np.linalg.norm(v, axis=1, keepdims=True)
+    theta = vn * sc.s_diag
+    lv = sum(v[:, a, None, None] * sc.L[a] for a in range(sc.corank))
+    lu = np.sum(lv * u[:, None, :], axis=2)
+    x = F_PAIR.even_part(theta) * u + F_PAIR.odd_part(theta) * lu
+    quad = np.sum(one_minus_sinc(theta) * u * u, axis=1, keepdims=True)
+    safe = np.where(vn == 0.0, 1.0, vn)
+    return x, np.where(vn == 0.0, 0.0, quad / (2.0 * safe * safe) * v)
 
 
 def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
@@ -229,15 +238,8 @@ def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
     R^k x R^p.
     """
     _check_covector(sc, lam)
-    x = apply_analytic(sc, lam.v, F_PAIR, lam.u)
-    vn = float(np.linalg.norm(lam.v))
-    if vn == 0.0:
-        return GroupPoint(x, np.zeros(sc.corank))
-    quad = 0.0
-    for b in sc.blocks:
-        ub = lam.u[b.indices]
-        quad += one_minus_sinc(b.alpha * vn) * float(ub @ ub)
-    return GroupPoint(x, (quad / (2.0 * vn * vn)) * lam.v)
+    x, z = _exp_rows(sc, lam.u[None], lam.v[None])
+    return GroupPoint(x[0], z[0])
 
 
 def geodesic_sample(sc: StructureConstants, lam: Covector, ts) -> list[GroupPoint]:
@@ -247,12 +249,28 @@ def geodesic_sample(sc: StructureConstants, lam: Covector, ts) -> list[GroupPoin
         raise ValueError("ts must be a one-dimensional sequence")
     if ts.size and (ts.min() < 0.0 or ts.max() > 1.0 or np.any(np.diff(ts) < 0)):
         raise ValueError("ts must be sorted and contained in [0, 1]")
-    return [exp_map(sc, lam.scale(float(t))) for t in ts]
+    _check_covector(sc, lam)
+    x, z = _exp_rows(sc, np.multiply.outer(ts, lam.u), np.multiply.outer(ts, lam.v))
+    return [GroupPoint(xi, zi) for xi, zi in zip(x, z)]
 
 
 def hamiltonian(lam: Covector) -> float:
     """The sub-Riemannian Hamiltonian |u|^2 / 2; geodesic speed is |u|."""
     return 0.5 * float(lam.u @ lam.u)
+
+
+def _jacobian_factors(alphas, pair_mults, theta):
+    """The factors of J at block angles theta (..., d), theta_j = alpha_j |v|.
+
+    Returns pref = prod_j sinc(theta_j/2)^(2 m_j) of shape (...,) and the
+    per-block weights a_j = (1/2) alpha_j^2 h3(theta_j) and
+    b_j = alpha_j^2 tau(theta_j) of shape (..., d), with
+    h3 = theta_minus_sin_over_cube and tau = half_angle_defect.
+    """
+    pref = np.prod(sinc(0.5 * theta) ** (2 * pair_mults), axis=-1)
+    a = 0.5 * alphas**2 * theta_minus_sin_over_cube(theta)
+    b = alphas**2 * half_angle_defect(theta)
+    return pref, a, b
 
 
 def _jacobian_core(alphas, pair_mults, corank, q, vnorm):
@@ -262,17 +280,12 @@ def _jacobian_core(alphas, pair_mults, corank, q, vnorm):
     block norms of u, vnorm has shape (...,).  Valid for vnorm strictly below
     the first conjugate radius; the v -> 0 limit is exact by construction:
 
-        J = prod_j sinc(theta_j/2)^(2 m_j)
-            * ((1/2) sum_j q_j alpha_j^2 h3(theta_j))^(p-1)
-            * (sum_j q_j alpha_j^2 tau(theta_j))
+        J = pref * (sum_j q_j a_j)^(p-1) * (sum_j q_j b_j)
 
-    with h3 = theta_minus_sin_over_cube and tau = half_angle_defect.
+    with pref, a and b from :func:`_jacobian_factors` at theta_j = alpha_j |v|.
     """
-    theta = np.multiply.outer(vnorm, alphas)
-    pref = np.prod(sinc(0.5 * theta) ** (2 * pair_mults), axis=-1)
-    wsum = 0.5 * np.sum(q * alphas**2 * theta_minus_sin_over_cube(theta), axis=-1)
-    tsum = np.sum(q * alphas**2 * half_angle_defect(theta), axis=-1)
-    return pref * wsum ** (corank - 1) * tsum
+    pref, a, b = _jacobian_factors(alphas, pair_mults, np.multiply.outer(vnorm, alphas))
+    return pref * np.sum(q * a, axis=-1) ** (corank - 1) * np.sum(q * b, axis=-1)
 
 
 def jacobian(sc: StructureConstants, lam: Covector) -> float:
@@ -327,42 +340,34 @@ def is_abnormal(sc: StructureConstants, lam: Covector) -> bool:
     return not np.any(sc.s_diag * lam.u)
 
 
-def _apply_f_inverse(sc, v, x):
-    # f(L_v)^{-1} x via the inverted even/odd pair: on a block with angle
-    # theta, f has even part E = sinc, odd part O = cos_minus_one_over_sq,
-    # and E^2 + theta^2 O^2 = sinc(theta/2)^2 > 0 for theta < 2 pi.
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    vn = float(np.linalg.norm(v))
-    lx = l_of_v(sc, v) @ x
-    out = np.empty_like(x)
-    ker = sc.kernel_indices
-    if ker.size:
-        out[ker] = x[ker]
-    for b in sc.blocks:
-        th = b.alpha * vn
-        den = sinc(0.5 * th) ** 2
-        e = sinc(th) / den
-        o = -cos_minus_one_over_sq(th) / den
-        out[b.indices] = e * x[b.indices] + o * lx[b.indices]
-    return out
+def _apply_f_inverse(sc, vn, x, lx):
+    # f(L_v)^{-1} x from |v| and lx = L_v x, by the inverted even/odd pair:
+    # f has even part E = sinc, odd part O = cos_minus_one_over_sq, and
+    # E^2 + theta^2 O^2 = sinc(theta/2)^2 > 0 for theta < 2 pi.
+    theta = vn * sc.s_diag
+    return (sinc(theta) * x - cos_minus_one_over_sq(theta) * lx) / sinc(0.5 * theta) ** 2
 
 
-def _vertical_reach(sc, x, vhat, r):
-    # |z|-component of exp at the covector (f(r L_vhat)^{-1} x, r vhat):
-    # F(r) = (r/2) sum_j |u_j(r)|^2 alpha_j^2 h3(alpha_j r).
-    u = _apply_f_inverse(sc, r * vhat, x)
-    acc = 0.0
-    for b in sc.blocks:
-        ub = u[b.indices]
-        acc += float(ub @ ub) * b.alpha**2 * theta_minus_sin_over_cube(b.alpha * r)
-    return 0.5 * r * acc
+def _vertical_reach(sc, u, r):
+    # |z|-component of exp at the covector (u, r vhat), |vhat| = 1:
+    # F(r) = (r/2) sum_c s_c^2 h3(s_c r) u_c^2.
+    s = sc.s_diag
+    return 0.5 * r * float((s * s * theta_minus_sin_over_cube(r * s)) @ (u * u))
+
+
+def _endpoint_residual(sc, lam, target, rel):
+    # |exp(lam) - target| and its tolerance rel * max(1, |target|): relative,
+    # because the endpoint carries the rounding of coordinates of size |target|
+    goal = target.as_vector()
+    residual = float(np.linalg.norm(exp_map(sc, lam).as_vector() - goal))
+    return residual, rel * max(1.0, float(np.linalg.norm(goal)))
 
 
 _SCAN_POINTS = 64
 _BISECT_WIDTH = 1e-6
 _NEWTON_STEP = 1e-7
 _LOG_RESIDUAL = 1e-12
+_LOG_ENDPOINT = 1e-10
 
 
 def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
@@ -389,9 +394,13 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     vhat = target.z / zn
     radius = sc.first_conjugate_radius
     rmax = radius * (1.0 - 1e-12)
+    lx = l_of_v(sc, vhat) @ target.x
+
+    def horizontal(r):
+        return _apply_f_inverse(sc, r, target.x, r * lx)
 
     def gap(r):
-        return _vertical_reach(sc, target.x, vhat, r) - zn
+        return _vertical_reach(sc, horizontal(r), r) - zn
 
     rs = np.linspace(0.0, rmax, _SCAN_POINTS + 1)[1:]
     vals = np.array([gap(r) for r in rs])
@@ -448,12 +457,11 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
                 cand = 0.5 * (lo + hi)
             root = cand
 
-    u = _apply_f_inverse(sc, root * vhat, target.x)
-    lam = Covector(u, root * vhat)
-    residual = float(np.linalg.norm(exp_map(sc, lam).as_vector() - target.as_vector()))
-    if residual > 1e-10:
+    lam = Covector(horizontal(root), root * vhat)
+    residual, tol = _endpoint_residual(sc, lam, target, _LOG_ENDPOINT)
+    if not residual <= tol:
         raise RuntimeError(
-            f"log residual {residual:.3e} exceeds 1e-10 after root polishing; "
+            f"log residual {residual:.3e} exceeds {tol:.3e} after root polishing; "
             "this indicates a synthesis bug"
         )
     return lam
@@ -507,18 +515,18 @@ def _cut_locus_covector(sc: StructureConstants, target: GroupPoint) -> Covector:
     top = sc.blocks[-1].indices
     x = target.x.copy()
     x[top] = 0.0
-    u = _apply_f_inverse(sc, radius * vhat, x)
+    u = _apply_f_inverse(sc, radius, x, radius * (l_of_v(sc, vhat) @ x))
     h3_top = theta_minus_sin_over_cube(sc.alpha_max * radius)
-    top2 = (zn - _vertical_reach(sc, x, vhat, radius)) / (0.5 * radius * sc.alpha_max**2 * h3_top)
+    top2 = (zn - _vertical_reach(sc, u, radius)) / (0.5 * radius * sc.alpha_max**2 * h3_top)
     if not top2 >= 0.0:
         raise NoCandidateFound(f"the lower eigenblocks alone overshoot |z| = {zn:.6g}")
     u[top[0]] = np.sqrt(top2)
     lam = Covector(u, radius * vhat)
-    residual = float(np.linalg.norm(exp_map(sc, lam).as_vector() - target.as_vector()))
-    if not residual <= _CUT_RESIDUAL:
+    residual, tol = _endpoint_residual(sc, lam, target, _CUT_RESIDUAL)
+    if not residual <= tol:
         raise NoCandidateFound(
             f"the cut-locus covector misses the target by {residual:.3e} > "
-            f"{_CUT_RESIDUAL:g}; x must vanish on the top eigenblock"
+            f"{tol:.3e}; x must vanish on the top eigenblock"
         )
     return lam
 
@@ -536,7 +544,7 @@ def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
     with h3 = theta_minus_sin_over_cube; u_top lies on the first axis of the
     top block.  On Heisenberg this is sqrt(4 pi |z|).  Raises
     NoCandidateFound when |u_top|^2 < 0 or the endpoint misses the target by
-    more than 1e-8 (x does not vanish on the top block).
+    more than 1e-8 max(1, |target|) (x does not vanish on the top block).
     """
     return float(np.linalg.norm(_cut_locus_covector(sc, target).u))
 

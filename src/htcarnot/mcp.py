@@ -23,11 +23,9 @@ from .errors import (
 from .geodesics import (
     Covector,
     _jacobian_core,
-    half_angle_defect,
+    _jacobian_factors,
     in_injectivity_domain,
     jacobian,
-    sinc,
-    theta_minus_sin_over_cube,
 )
 from .quadrature import CHUNK, grid_chunk, mapped_rule, pairwise_sum
 from .randomness import DEFAULT_SEED, generator
@@ -324,10 +322,7 @@ def _box_jacobian_integral(sc, box: CovectorBox, scale: float, quad: int) -> flo
     weights = [r[1] for r in rules]
     pts, wts = grid_chunk(nodes, weights, quad, 0, quad**p)
     vn = np.linalg.norm(pts, axis=1)
-    theta = scale * np.multiply.outer(vn, alphas)
-    pref = np.prod(sinc(0.5 * theta) ** (2 * mults), axis=-1)
-    a = 0.5 * alphas**2 * theta_minus_sin_over_cube(theta)
-    b = alphas**2 * half_angle_defect(theta)
+    pref, a, b = _jacobian_factors(alphas, mults, scale * np.multiply.outer(vn, alphas))
 
     vals = np.zeros_like(vn)
     for gamma in gammas:

@@ -196,7 +196,8 @@ class GroupSpec:
         expected = self.kernel_dim + 2 * sum(m for _, m in spectrum)
         if self.rank != expected:
             raise ValueError(
-                f"rank {self.rank} != kernel_dim + 2*sum(pairs) = {expected}"
+                f"rank {self.rank} does not equal kernel_dim + "
+                f"2*sum(multiplicities) = {expected}"
             )
 
     @property

@@ -11,6 +11,7 @@ from htcarnot import (
     l_of_v,
 )
 from htcarnot.geodesics import (
+    _apply_f_inverse,
     cos_minus_one_over_sq,
     half_angle_defect,
     one_minus_sinc,
@@ -55,18 +56,31 @@ def oracle_exp_neg(A):
     return matrix_series(lambda m: (-1.0) ** m / factorial(m), A)
 
 
-@pytest.mark.parametrize("pair,oracle", [
-    (F_PAIR, oracle_f),
-    (G_PAIR, oracle_g),
-    (EXP_NEG_PAIR, oracle_exp_neg),
-], ids=["f", "g", "exp-neg"])
-def test_pairs_match_matrix_series(group, pair, oracle):
+def oracle_f_inverse(A):
+    return np.linalg.inv(oracle_f(A))
+
+
+def pair_applier(pair):
+    return lambda sc, v, w: apply_analytic(sc, v, pair, w)
+
+
+def apply_f_inverse(sc, v, w):
+    return _apply_f_inverse(sc, np.linalg.norm(v), w, l_of_v(sc, v) @ w)
+
+
+@pytest.mark.parametrize("apply,oracle", [
+    (pair_applier(F_PAIR), oracle_f),
+    (pair_applier(G_PAIR), oracle_g),
+    (pair_applier(EXP_NEG_PAIR), oracle_exp_neg),
+    (apply_f_inverse, oracle_f_inverse),
+], ids=["f", "g", "exp-neg", "f-inv"])
+def test_pairs_match_matrix_series(group, apply, oracle):
     rng = np.random.default_rng(21)
     for u, v in seeded_covectors(group, 10, stream=3):
         mat = oracle(l_of_v(group, v))
         w = rng.standard_normal(group.rank)
         expected = mat @ w
-        got = apply_analytic(group, v, pair, w)
+        got = apply(group, v, w)
         assert np.max(np.abs(got - expected)) <= 1e-10
 
 

@@ -76,7 +76,7 @@ def test_zero_vertical_momentum_is_straight_line(group):
 def test_geodesic_sample_consistency(group):
     u, v = seeded_covectors(group, 1, stream=5)[0]
     lam = Covector(u, v)
-    ts = np.array([0.0, 0.3, 0.6, 1.0])
+    ts = np.linspace(0.0, 1.0, 33)
     pts = geodesic_sample(group, lam, ts)
     assert np.array_equal(pts[0].as_vector(), np.zeros(group.dim))
     for t, pt in zip(ts, pts):

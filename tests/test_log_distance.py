@@ -133,6 +133,26 @@ def test_distance_bound_rejects_targets_off_the_formula(contact):
         distance_bound(contact, GroupPoint([3.0, 0.0, 0.0, 0.0], [0.01]))
 
 
+@pytest.mark.parametrize("z", [1e8, 1e9])
+def test_cut_locus_endpoint_check_is_relative(contact, z):
+    # the endpoint carries rounding of about 1e-16 |target|, which an
+    # absolute 1e-8 check took for a miss at these heights
+    target = GroupPoint([0.3, -0.2, 0.0, 0.0], [z])
+    d = distance(contact, GroupPoint(np.zeros(4), np.zeros(1)), target)
+    lam = _cut_locus_covector(contact, target)
+    assert d.exact and d.value == float(np.linalg.norm(lam.u))
+    gap = exp_map(contact, lam).as_vector() - target.as_vector()
+    assert np.linalg.norm(gap) <= 1e-14 * z
+
+
+def test_log_endpoint_check_is_relative(heis):
+    # |target| is about 1e6 here, so the endpoint rounds at about 1e-10
+    lam = Covector(1e6 * np.array([1.0, 0.3]), [2e-6])
+    back = log_map(heis, exp_map(heis, lam))
+    err = np.linalg.norm(back.as_vector() - lam.as_vector())
+    assert err <= 1e-12 * np.linalg.norm(lam.as_vector())
+
+
 def test_distance_bound_rejects_reachable_targets(heis):
     with pytest.raises(ValueError):
         distance_bound(heis, GroupPoint([1.0, 0.0], [0.0]))

@@ -2,18 +2,25 @@ import numpy as np
 import pytest
 
 from htcarnot import (
+    Covector,
     GroupSpec,
     SpecNotRealizable,
     StructureInvalid,
     anticommuting_family,
     build_structure,
+    catalog_structure,
     existence_check,
+    exp_map,
     hurwitz_radon,
+    jacobian,
     l_of_v,
+    log_map,
     max_skew_family_size,
     structure_from_matrices,
     validate_structure,
 )
+
+from conftest import seeded_covectors
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -168,6 +175,26 @@ def test_structure_from_matrices_round_trip(group):
     assert rebuilt.spec == group.spec
     assert np.array_equal(rebuilt.S, group.S)
     assert np.array_equal(rebuilt.L, group.L)
+
+
+@pytest.mark.parametrize("name", ["contact12", "degenerate-corank1", "htype4x3"])
+def test_permuted_coordinates_give_the_same_geodesics(name):
+    # permuting the coordinates by [3, 0, 2, 1] puts ker S between block
+    # coordinates and splits the blocks of contact12; exp, J and log must
+    # not notice
+    sc = catalog_structure(name)
+    perm = np.array([3, 0, 2, 1])
+    moved = structure_from_matrices(sc.S[np.ix_(perm, perm)], sc.L[:, perm][:, :, perm])
+    assert not np.array_equal(moved.L, sc.L)
+    for u, v in seeded_covectors(sc, 20, stream=9):
+        lam, lam_moved = Covector(u, v), Covector(u[perm], v)
+        pt, pt_moved = exp_map(sc, lam), exp_map(moved, lam_moved)
+        np.testing.assert_allclose(pt_moved.x, pt.x[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pt_moved.z, pt.z, rtol=0, atol=1e-12)
+        assert jacobian(moved, lam_moved) == pytest.approx(jacobian(sc, lam), abs=1e-12)
+        back, back_moved = log_map(sc, pt), log_map(moved, pt_moved)
+        np.testing.assert_allclose(back_moved.u, back.u[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back_moved.v, back.v, rtol=0, atol=1e-12)
 
 
 def test_structure_from_matrices_accepts_diagonal_vector(heis):
