@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", type=int, default=8,
                    help="quadrature points per dimension")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for the quadrature reduction")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", type=Path, default=None, help="output CSV path")
 
     p = sub.add_parser("sharpness", help="witness sharpness of the exponent k+3p")

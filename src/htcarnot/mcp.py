@@ -8,9 +8,7 @@ below the geodesic dimension, and the reduction to negative curvature bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +20,17 @@ from .errors import (
 )
 from .geodesics import (
     Covector,
-    _jacobian_core,
     _jacobian_factors,
-    in_injectivity_domain,
     jacobian,
 )
-from .quadrature import CHUNK, grid_chunk, mapped_rule, pairwise_sum
+from .quadrature import (
+    NODE_BUDGET,
+    mapped_rule,
+    pairwise_sum,
+    pairwise_sums,
+    require_node_budget,
+    tensor_grid,
+)
 from .randomness import DEFAULT_SEED, generator
 from .structure import GroupSpec, StructureConstants
 
@@ -51,18 +54,13 @@ def distortion_coefficient(K: float, N: float, t: float, dist: float) -> float:
     s_K is the constant-curvature distance profile; only K <= 0 is supported
     since the groups in question are unbounded.  At dist = 0 the bracket is
     taken to be 1 (the 0/0 convention), giving exactly t.  For K = 0 and
-    positive dist the value is exactly t**N.
+    positive dist the value is exactly t**N.  K, N and dist must be finite.
     """
-    if K > 0.0:
-        raise UnsupportedPositiveK(
-            f"K = {K} > 0 requires a bounded space; these groups are unbounded"
-        )
-    if not N > 1.0:
-        raise ValueError(f"N must exceed 1, got {N}")
+    _require_curvature(K, N)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    if dist < 0.0:
-        raise ValueError(f"dist must be non-negative, got {dist}")
+    if not 0.0 <= dist < math.inf:
+        raise ValueError(f"dist must be finite and non-negative, got {dist}")
     if dist == 0.0:
         return t
     if K == 0.0:
@@ -72,14 +70,18 @@ def distortion_coefficient(K: float, N: float, t: float, dist: float) -> float:
 
 
 def _sinh_ratio(t, a):
-    # sinh(t a)/sinh(a), exp-scaled so large a never overflows
+    # sinh(t a)/sinh(a), exp-scaled so large a never overflows; its limit t
+    # at a = 0
     t = np.asarray(t, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     big = a > 30.0
-    safe = np.where(big, 1.0, a)
+    zero = a == 0.0
+    safe = np.where(big | zero, 1.0, a)
+    wide = np.where(big, a, 31.0)
     direct = np.sinh(t * safe) / np.sinh(safe)
-    scaled = np.exp((t - 1.0) * a) * (1.0 - np.exp(-2.0 * t * a)) / (1.0 - np.exp(-2.0 * a))
-    out = np.where(big, scaled, direct)
+    scaled = (np.exp((t - 1.0) * wide) * (1.0 - np.exp(-2.0 * t * wide))
+              / (1.0 - np.exp(-2.0 * wide)))
+    out = np.where(big, scaled, np.where(zero, t, direct))
     return float(out) if out.ndim == 0 else out
 
 
@@ -222,18 +224,28 @@ class CovectorBox:
 
 
 def _require_box_in_domain(sc, box: CovectorBox):
-    # Corner test: every corner covector must lie in the injectivity domain;
-    # the corner of componentwise-largest |v| dominates the norm bound.
+    # Corner test in closed form: every corner has |v| < R iff the corner of
+    # componentwise-largest |v_i| does, and some corner has S u = 0 iff every
+    # coordinate c has an endpoint x with s_c x == 0.
     if box.dim != sc.dim:
         raise BoxOutsideDomain(
             f"box dimension {box.dim} does not match the group dimension {sc.dim}"
         )
-    for corner in itertools.product(*zip(box.lower, box.upper)):
-        lam = Covector(np.array(corner[: sc.rank]), np.array(corner[sc.rank:]))
-        if not in_injectivity_domain(sc, lam):
-            raise BoxOutsideDomain(
-                f"box corner {corner} leaves the injectivity domain"
-            )
+    u_lo, u_hi, v_lo, v_hi = box.split(sc.rank)
+    far_v = np.where(np.abs(v_hi) >= np.abs(v_lo), v_hi, v_lo)
+    if not float(np.linalg.norm(far_v)) < sc.first_conjugate_radius:
+        corner = np.concatenate((u_lo, far_v))
+        raise BoxOutsideDomain(
+            f"box corner {corner.tolist()} leaves the injectivity domain: "
+            f"|v| is not below {sc.first_conjugate_radius!r}"
+        )
+    lo_null = sc.s_diag * u_lo == 0.0
+    hi_null = sc.s_diag * u_hi == 0.0
+    if np.all(lo_null | hi_null):
+        corner = np.concatenate((np.where(lo_null, u_lo, u_hi), v_lo))
+        raise BoxOutsideDomain(
+            f"box corner {corner.tolist()} leaves the injectivity domain: S u = 0"
+        )
 
 
 def default_box(sc: StructureConstants) -> CovectorBox:
@@ -287,51 +299,71 @@ def _u_moment_table(sc, u_lo, u_hi, quad: int, max_degree: int):
     return kernel_factor, table
 
 
-def _box_jacobian_integral(sc, box: CovectorBox, scale: float, quad: int) -> float:
-    """Integral of J(s u, s v) over the box, by factored tensor Gauss-Legendre.
+def _row_batches(count: int, width: int):
+    # slices of at most NODE_BUDGET // width rows (at least one), so that an
+    # evaluation over `width` nodes per row never holds more than one grid
+    step = max(1, NODE_BUDGET // width)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _jacobian_expansion(sc, theta):
+    """J(s u, s v) / s^(2p) as a polynomial in q, at angles theta = s alpha_j |v|.
+
+    J = pref * (sum_j a_j q_j)^(p-1) * (sum_i b_i q_i) expands into
+    pref * sum_delta c_delta q^delta over |delta| = p, where q holds the
+    squared block norms of u.  Returns pref and {delta: c_delta}, with delta
+    = gamma + e_i in order of lexicographic gamma, then i.
+    """
+    p = sc.corank
+    pref, a, b = _jacobian_factors(sc.block_alphas(), sc.block_pairs(), theta)
+    d = a.shape[-1]
+    coeffs = {}
+    for gamma in _compositions(p - 1, d):
+        multinom = math.factorial(p - 1) // math.prod(map(math.factorial, gamma))
+        agam = multinom * np.prod(a**np.array(gamma), axis=-1)
+        for i in range(d):
+            delta = tuple(g + (1 if j == i else 0) for j, g in enumerate(gamma))
+            term = agam * b[..., i]
+            coeffs[delta] = coeffs[delta] + term if delta in coeffs else term
+    return pref, coeffs
+
+
+def _box_jacobian_integral(sc, box: CovectorBox, scales, quad: int) -> list[float]:
+    """Integrals of J(s u, s v) over the box for each scale s, by factored
+    tensor Gauss-Legendre.
 
     The integrand is polynomial in u (degree 2p), so the u-integral reduces
     to exact moments of the squared block norms; only the v-grid (quad^p
-    nodes) is enumerated.  Identical quadrature sum to the full tensor rule,
-    reorganized.
+    nodes) is enumerated, once for all scales.  Identical quadrature sum to
+    the full tensor rule, reorganized.
     """
     u_lo, u_hi, v_lo, v_hi = box.split(sc.rank)
     p = sc.corank
-    alphas = sc.block_alphas()
-    mults = sc.block_pairs()
-    d = alphas.size
     kernel_factor, table = _u_moment_table(sc, u_lo, u_hi, quad, p)
+    pts, wts = tensor_grid(v_lo, v_hi, quad)
+    rays = np.multiply.outer(np.linalg.norm(pts, axis=1), sc.block_alphas())
+    scale_col = np.array(scales, dtype=np.float64)
+    totals = []
+    for rows in _row_batches(len(scales), len(wts)):
+        pref, coeffs = _jacobian_expansion(sc, np.multiply.outer(scale_col[rows], rays))
+        vals = np.zeros_like(pref)
+        for delta, c in coeffs.items():
+            moment = math.prod((table[j][dj] for j, dj in enumerate(delta)),
+                               start=kernel_factor)
+            vals += c * moment
+        totals.extend(pairwise_sums(wts * pref * vals).tolist())
+    return [s ** (2 * p) * total for s, total in zip(scales, totals)]
 
-    # moments M[delta] for |delta| = p, and the expansion coefficients of
-    # (sum_j a_j q_j)^(p-1) * (sum_i b_i q_i) over those moments
-    gammas = list(_compositions(p - 1, d))
-    moments = {}
-    for gamma in gammas:
-        for i in range(d):
-            delta = tuple(g + (1 if j == i else 0) for j, g in enumerate(gamma))
-            if delta not in moments:
-                val = kernel_factor
-                for j, dj in enumerate(delta):
-                    val *= table[j][dj]
-                moments[delta] = val
-    multinoms = {gamma: math.factorial(p - 1) // math.prod(map(math.factorial, gamma))
-                 for gamma in gammas}
 
-    rules = [mapped_rule(v_lo[i], v_hi[i], quad) for i in range(p)]
-    nodes = [r[0] for r in rules]
-    weights = [r[1] for r in rules]
-    pts, wts = grid_chunk(nodes, weights, quad, 0, quad**p)
-    vn = np.linalg.norm(pts, axis=1)
-    pref, a, b = _jacobian_factors(alphas, mults, scale * np.multiply.outer(vn, alphas))
-
-    vals = np.zeros_like(vn)
-    for gamma in gammas:
-        agam = multinoms[gamma] * np.prod(a**np.array(gamma), axis=-1)
-        for i in range(d):
-            delta = tuple(g + (1 if j == i else 0) for j, g in enumerate(gamma))
-            vals += agam * b[:, i] * moments[delta]
-    total = pairwise_sum(wts * pref * vals)
-    return scale ** (2 * p) * total
+def _contraction_ratios(sc, box: CovectorBox, ts, quad: int) -> list[float]:
+    # t^n * integral J(t u, t v) / integral J(u, v) for every t of ts, with
+    # one box check and one denominator
+    if quad < 4:
+        raise ValueError("need at least 4 quadrature points per dimension")
+    require_node_budget(quad, sc.corank)
+    _require_box_in_domain(sc, box)
+    den, *nums = _box_jacobian_integral(sc, box, [1.0, *ts], quad)
+    return [t**sc.dim * num / den for t, num in zip(ts, nums)]
 
 
 def contraction_ratio(sc: StructureConstants, box: CovectorBox, t: float,
@@ -345,12 +377,7 @@ def contraction_ratio(sc: StructureConstants, box: CovectorBox, t: float,
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
-    if quad_points_per_dim < 4:
-        raise ValueError("need at least 4 quadrature points per dimension")
-    _require_box_in_domain(sc, box)
-    num = _box_jacobian_integral(sc, box, t, quad_points_per_dim)
-    den = _box_jacobian_integral(sc, box, 1.0, quad_points_per_dim)
-    return t**sc.dim * num / den
+    return _contraction_ratios(sc, box, [t], quad_points_per_dim)[0]
 
 
 @dataclass(frozen=True)
@@ -410,10 +437,7 @@ def sharpness_witness(sc: StructureConstants, epsilon: float
     n_target = geodesic_dimension(sc.spec) - epsilon
     for attempt in range(_SHARPNESS_SHRINKS + 1):
         box = sharpness_box(sc, shrink=attempt)
-        ratios = tuple(
-            contraction_ratio(sc, box, t, _SHARPNESS_QUAD)
-            for t in _SHARPNESS_T_GRID
-        )
+        ratios = tuple(_contraction_ratios(sc, box, _SHARPNESS_T_GRID, _SHARPNESS_QUAD))
         thresholds = tuple(t**n_target for t in _SHARPNESS_T_GRID)
         report = SharpnessReport(
             epsilon=epsilon,
@@ -444,7 +468,9 @@ class ContractionReport:
 
     @property
     def margins(self) -> tuple[float, ...]:
-        return tuple(r / b - 1.0 for r, b in zip(self.ratios, self.bounds))
+        # a bound that underflows to 0 is met by any non-negative ratio
+        return tuple(r / b - 1.0 if b != 0.0 else (math.inf if r > 0.0 else 0.0)
+                     for r, b in zip(self.ratios, self.bounds))
 
     @property
     def verdicts(self) -> tuple[bool, ...]:
@@ -455,42 +481,41 @@ class ContractionReport:
         return all(self.verdicts)
 
 
-def _distortion_bounds(sc, box, K, N, ts, quad, workers):
-    # J-weighted average of the distortion coefficient over the box, per t:
-    # walks the full tensor grid in fixed chunks; numerators and denominator
-    # reduce pairwise per chunk and across chunks, so the result is
-    # bit-identical for any worker count.
-    rules = [mapped_rule(box.lower[i], box.upper[i], quad) for i in range(box.dim)]
-    nodes = [r[0] for r in rules]
-    weights = [r[1] for r in rules]
-    total = quad**box.dim
-    spans = [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
-    alphas = sc.block_alphas()
-    mults = sc.block_pairs()
-    blocks = [b.indices for b in sc.blocks]
-    k = sc.rank
-    c = math.sqrt(-K) / math.sqrt(N - 1.0)
+def _distortion_bounds(sc, box, K, N, ts, quad):
+    # J-weighted box average of the distortion coefficient D_t(|u|), per t.
+    # J = pref(|v|) sum_delta c_delta(|v|) q(u)^delta and D_t depends on u
+    # only, so the tensor Gauss-Legendre sum factors into
+    #   V_delta = sum_v w pref c_delta           over quad^p nodes,
+    #   U_delta(t) = sum_u w q^delta D_t(|u|)    over quad^k nodes,
+    # and bound_t = sum V U(t) / sum V U(1), where D_1 = 1.
+    u_lo, u_hi, v_lo, v_hi = box.split(sc.rank)
+    v_pts, v_wts = tensor_grid(v_lo, v_hi, quad)
+    pref, coeffs = _jacobian_expansion(
+        sc, np.multiply.outer(np.linalg.norm(v_pts, axis=1), sc.block_alphas()))
+    v_side = np.array([pairwise_sum(v_wts * pref * c) for c in coeffs.values()])
+    u_pts, u_wts = tensor_grid(u_lo, u_hi, quad)
+    q = np.stack([np.sum(u_pts[:, b.indices] ** 2, axis=1) for b in sc.blocks], axis=-1)
+    monomials = [u_wts * np.prod(q ** np.array(delta), axis=-1) for delta in coeffs]
+    den = pairwise_sum(v_side * [pairwise_sum(m) for m in monomials])
+    a = math.sqrt(-K) / math.sqrt(N - 1.0) * np.linalg.norm(u_pts, axis=1)
+    t_col = np.array(ts)[:, None]
+    bounds = []
+    for rows in _row_batches(len(ts), a.size):
+        weight = t_col[rows] * _sinh_ratio(t_col[rows], a) ** (N - 1.0)
+        u_side = np.stack([pairwise_sums(weight * m) for m in monomials], axis=-1)
+        bounds.extend((pairwise_sums(u_side * v_side) / den).tolist())
+    return bounds
 
-    def chunk_partials(span):
-        pts, wts = grid_chunk(nodes, weights, quad, *span)
-        u = pts[:, :k]
-        v = pts[:, k:]
-        q = np.stack([np.sum(u[:, idx] ** 2, axis=1) for idx in blocks], axis=-1)
-        vn = np.linalg.norm(v, axis=1)
-        wj = wts * _jacobian_core(alphas, mults, sc.corank, q, vn)
-        dist = np.linalg.norm(u, axis=1)
-        den = pairwise_sum(wj)
-        nums = [pairwise_sum(wj * (t * _sinh_ratio(t, c * dist) ** (N - 1.0)))
-                for t in ts]
-        return den, nums
 
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_partials, spans))
-    else:
-        parts = [chunk_partials(s) for s in spans]
-    den = pairwise_sum([p[0] for p in parts])
-    return [pairwise_sum([p[1][i] for p in parts]) / den for i in range(len(ts))]
+def _require_curvature(K, N):
+    if not (math.isfinite(K) and math.isfinite(N)):
+        raise ValueError(f"K and N must be finite, got K = {K}, N = {N}")
+    if K > 0.0:
+        raise UnsupportedPositiveK(
+            f"K = {K} > 0 requires a bounded space; these groups are unbounded"
+        )
+    if not N > 1.0:
+        raise ValueError(f"N must exceed 1, got {N}")
 
 
 def mcp_report(sc: StructureConstants, K: float, N: float, box: CovectorBox,
@@ -500,22 +525,21 @@ def mcp_report(sc: StructureConstants, K: float, N: float, box: CovectorBox,
     The left side is the quadrature contraction ratio; the right side is the
     model bound: exactly t^N for K = 0, and for K < 0 the J-weighted box
     average of the distortion coefficient at distance |u|.  A t passes when
-    ratio >= bound * (1 - 1e-9).
+    ratio >= bound * (1 - 1e-9).  K and N must be finite.  Each grid holds
+    at most NODE_BUDGET nodes: quad^p for the ratios and, for K < 0, quad^k
+    more.  ``workers`` is accepted for compatibility and has no effect.
     """
-    if K > 0.0:
-        raise UnsupportedPositiveK(
-            f"K = {K} > 0 requires a bounded space; these groups are unbounded"
-        )
-    if not N > 1.0:
-        raise ValueError(f"N must exceed 1, got {N}")
+    _require_curvature(K, N)
     ts = [float(t) for t in t_grid]
     if not ts or any(not 0.0 < t < 1.0 for t in ts):
         raise ValueError("t grid must be non-empty and lie in (0, 1)")
-    ratios = tuple(contraction_ratio(sc, box, t, quad) for t in ts)
+    if K < 0.0:
+        require_node_budget(quad, sc.rank)
+    ratios = tuple(_contraction_ratios(sc, box, ts, quad))
     if K == 0.0:
         bounds = tuple(t**N for t in ts)
     else:
-        bounds = tuple(_distortion_bounds(sc, box, K, N, ts, quad, workers))
+        bounds = tuple(_distortion_bounds(sc, box, K, N, ts, quad))
     return ContractionReport(
         group=repr(sc.spec),
         curvature=float(K),

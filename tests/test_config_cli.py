@@ -299,6 +299,15 @@ def test_import_leaves_scipy_unloaded():
     assert res.returncode == 0, res.stderr
 
 
+def test_import_leaves_thread_pools_unloaded():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, htcarnot; assert 'concurrent.futures' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_mcp_pass_and_csv(tmp_path):
     out = tmp_path / "mcp.csv"
     res = run_cli("mcp", "--group", "heisenberg3", "--t-grid", "0.25,0.5,0.75",
@@ -324,6 +333,28 @@ def test_mcp_rejects_positive_curvature():
     res = run_cli("mcp", "--group", "heisenberg3", "--K", "1.0",
                   "--t-grid", "0.5")
     assert res.returncode == 3
+
+
+def test_mcp_underflowing_bound_passes(tmp_path):
+    out = tmp_path / "mcp.csv"
+    res = run_cli("mcp", "--group", "heisenberg3", "--K=-1e308", "--t-grid", "0.5",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert out.read_text().splitlines()[1].endswith(",0.0,inf,pass")
+
+
+@pytest.mark.parametrize("flag", ["--N=inf", "--K=-inf", "--K=nan"])
+def test_mcp_rejects_non_finite_curvature(flag):
+    res = run_cli("mcp", "--group", "heisenberg3", flag, "--t-grid", "0.5")
+    assert res.returncode == 3
+    assert "finite" in res.stderr
+
+
+def test_mcp_node_budget_exits_three():
+    res = run_cli("mcp", "--group", "htype4x3", "--K", "-1", "--quad", "10000",
+                  "--t-grid", "0.5")
+    assert res.returncode == 3
+    assert str(10**16) in res.stderr
 
 
 def test_mcp_explicit_box_argument():

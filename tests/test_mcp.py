@@ -1,6 +1,7 @@
 """Measure contraction verification: scalar inequalities, quadrature ratios,
 distortion coefficients, sharpness witnesses."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 
 from htcarnot import (
     BoxOutsideDomain,
+    Covector,
     CovectorBox,
+    GroupSpec,
     UnsupportedPositiveK,
     WitnessNotFound,
     catalog_names,
@@ -19,14 +22,26 @@ from htcarnot import (
     check_jacobian_contraction,
     contraction_ratio,
     default_box,
+    build_structure,
     distortion_coefficient,
     geodesic_dimension,
     hausdorff_dimension,
+    in_injectivity_domain,
+    jacobian,
     mcp_report,
     sharpness_box,
     sharpness_witness,
 )
-from htcarnot.mcp import _sinh_ratio
+from htcarnot.geodesics import _jacobian_core
+from htcarnot.mcp import _require_box_in_domain, _sinh_ratio
+from htcarnot.quadrature import grid_chunk, mapped_rule, pairwise_sum
+
+
+def full_grid(box, quad):
+    """Every node and weight of the tensor Gauss-Legendre rule on the box."""
+    rules = [mapped_rule(lo, hi, quad) for lo, hi in zip(box.lower, box.upper)]
+    return grid_chunk([r[0] for r in rules], [r[1] for r in rules], quad, 0,
+                      quad**box.dim)
 
 
 # --- dimension bookkeeping ---------------------------------------------------
@@ -268,24 +283,84 @@ def test_ratio_argument_validation(heis):
 
 
 def test_ratio_matches_naive_tensor_quadrature(heis):
-    # same Gauss-Legendre rule evaluated without the factored moment table
-    from htcarnot import Covector, jacobian
-    from htcarnot.quadrature import tensor_quadrature
-
+    # same Gauss-Legendre rule summed over the full grid, node by node,
+    # without the factored moment table
     box = default_box(heis)
     t = 0.45
+    pts, wts = full_grid(box, 8)
 
     def integral(scale):
-        def integrand(pts):
-            return np.array([
-                jacobian(heis, Covector(scale * row[:2], scale * row[2:]))
-                for row in pts
-            ])
-        return tensor_quadrature(integrand, box.lower, box.upper, 8)
+        vals = [jacobian(heis, Covector(scale * row[:2], scale * row[2:])) for row in pts]
+        return pairwise_sum(wts * np.array(vals))
 
     naive = t**heis.dim * integral(t) / integral(1.0)
     factored = contraction_ratio(heis, box, t, 8)
     assert factored == pytest.approx(naive, rel=1e-13)
+
+
+def test_report_ratios_match_single_ratio_calls(group):
+    # one call per t-grid gives the bits of one call per t
+    box = default_box(group)
+    ts = [i / 10.0 for i in range(1, 10)]
+    rep = mcp_report(group, 0.0, geodesic_dimension(group.spec), box, ts, 8)
+    assert rep.ratios == tuple(contraction_ratio(group, box, t, 8) for t in ts)
+
+
+def test_rank_twenty_ratio_needs_no_corner_walk():
+    # 2^21 corners; the closed-form box check and the u-moment table are O(k)
+    sc = build_structure(GroupSpec(rank=20, corank=1, spectrum=((1.0, 5), (2.0, 4)),
+                                   kernel_dim=2))
+    ratio = contraction_ratio(sc, default_box(sc), 0.5, 4)
+    assert 0.0 < ratio < 1.0
+
+
+def _corners_inside(sc, box):
+    return all(
+        in_injectivity_domain(sc, Covector(np.array(c[: sc.rank]), np.array(c[sc.rank:])))
+        for c in itertools.product(*zip(box.lower, box.upper))
+    )
+
+
+def _seeded_box(rng, sc):
+    k, p = sc.rank, sc.corank
+    u_lo = rng.uniform(-1.5, 1.0, k)
+    u_hi = u_lo + rng.uniform(0.1, 1.0, k)
+    # some u-coordinates touch 0 at one end; in some boxes all of them do
+    touch = rng.random(k) < (1.0 if rng.random() < 0.3 else 0.5)
+    width = rng.uniform(0.1, 1.0, k)
+    at_lo = rng.random(k) < 0.5
+    u_lo = np.where(touch, np.where(at_lo, 0.0, -width), u_lo)
+    u_hi = np.where(touch, np.where(at_lo, width, 0.0), u_hi)
+    v_lo = rng.uniform(-1.0, 0.5, p)
+    v_hi = v_lo + rng.uniform(0.1, 1.0, p)
+    far = np.where(np.abs(v_hi) >= np.abs(v_lo), v_hi, v_lo)
+    # put the far v-corner just inside, on, or just outside the radius R
+    reach = sc.first_conjugate_radius * rng.choice([0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.5])
+    scale = reach / np.linalg.norm(far)
+    return CovectorBox(np.concatenate((u_lo, scale * v_lo)),
+                       np.concatenate((u_hi, scale * v_hi)))
+
+
+def test_closed_form_box_check_matches_corner_loop(group):
+    rng = np.random.default_rng([17, group.rank, group.corank, group.dim])
+    seen = set()
+    for _ in range(150):
+        box = _seeded_box(rng, group)
+        try:
+            _require_box_in_domain(group, box)
+            outcome = "inside"
+        except BoxOutsideDomain as exc:
+            outcome = "S u = 0" if "S u = 0" in str(exc) else "|v|"
+        assert (outcome == "inside") == _corners_inside(group, box), (box.lower, box.upper)
+        seen.add(outcome)
+    assert seen == {"inside", "S u = 0", "|v|"}
+
+
+def test_box_check_names_an_offending_corner(degenerate):
+    # coordinates 0, 1 span ker S: the u-corner (0, 0, 0, 0) has S u = 0
+    box = CovectorBox([-1.0, -1.0, 0.0, -0.5, 0.5], [1.0, 1.0, 1.0, 0.0, 1.0])
+    with pytest.raises(BoxOutsideDomain, match=r"corner \[-1.0, -1.0, 0.0, 0.0, 0.5\]"):
+        contraction_ratio(degenerate, box, 0.5, 8)
 
 
 # --- sharpness witnesses -----------------------------------------------------
@@ -365,6 +440,82 @@ def test_negative_curvature_worker_count_is_bit_for_bit(heis):
     four = mcp_report(heis, workers=4, **kwargs)
     assert one.ratios == four.ratios
     assert one.bounds == four.bounds
+
+
+def _brute_force_bounds(sc, K, N, box, ts, quad):
+    # the J-weighted box average of the distortion coefficient, summed over
+    # every node of the quad^(k+p) grid
+    pts, wts = full_grid(box, quad)
+    u, v = pts[:, : sc.rank], pts[:, sc.rank:]
+    q = np.stack([np.sum(u[:, b.indices] ** 2, axis=1) for b in sc.blocks], axis=-1)
+    wj = wts * _jacobian_core(sc.block_alphas(), sc.block_pairs(), sc.corank, q,
+                              np.linalg.norm(v, axis=1))
+    a = math.sqrt(-K / (N - 1.0)) * np.linalg.norm(u, axis=1)
+    den = pairwise_sum(wj)
+    return [pairwise_sum(wj * t * (np.sinh(t * a) / np.sinh(a)) ** (N - 1.0)) / den
+            for t in ts]
+
+
+@pytest.mark.parametrize("shift", [(-1.0, 0.0), (-3.0, 0.5)])
+def test_factored_negative_curvature_matches_full_grid(group, shift):
+    K, deficit = shift
+    N = geodesic_dimension(group.spec) - deficit
+    # the default box narrowed by a different amount in each coordinate, so
+    # that no two blocks see the same u-range
+    steps = np.arange(group.dim)
+    box = default_box(group)
+    box = CovectorBox(box.lower + 0.03 * steps, box.upper - 0.04 * steps)
+    ts = [0.1, 0.45, 0.8]
+    rep = mcp_report(group, K, N, box, ts, 5)
+    ref = _brute_force_bounds(group, K, N, box, ts, 5)
+    for got, want in zip(rep.bounds, ref):
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_negative_curvature_bound_finite_when_a_node_has_u_zero(heis):
+    # quad 5 puts a node at u = (0, 0), where the distortion coefficient is
+    # 0/0; its limit t keeps the average finite
+    box = CovectorBox([-1.0, -1.0, 0.5], [1.0, 1.0, 1.0])
+    rep = mcp_report(heis, -1.0, 5.0, box, [0.5], 5)
+    assert 0.0 < rep.bounds[0] < 0.5**5
+    assert rep.passed
+    assert _sinh_ratio(0.3, 0.0) == 0.3
+
+
+@pytest.mark.parametrize("K,N", [(math.nan, 5.0), (-math.inf, 5.0), (math.inf, 5.0),
+                                 (-1.0, math.inf), (-1.0, math.nan), (0.0, math.inf)])
+def test_non_finite_curvature_rejected(heis, K, N):
+    with pytest.raises(ValueError, match="finite"):
+        mcp_report(heis, K, N, default_box(heis), [0.5], 8)
+    with pytest.raises(ValueError, match="finite"):
+        distortion_coefficient(K, N, 0.5, 1.0)
+
+
+def test_distortion_rejects_non_finite_distance():
+    for dist in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="dist"):
+            distortion_coefficient(-1.0, 5.0, 0.5, dist)
+
+
+def test_underflowing_bound_has_infinite_margin(heis):
+    rep = mcp_report(heis, -1e308, 5.0, default_box(heis), [0.5], 8)
+    assert rep.bounds == (0.0,)
+    assert rep.margins == (math.inf,)
+    assert rep.passed
+    # a ratio that underflows too meets its zero bound exactly
+    tiny = mcp_report(heis, 0.0, 5.0, default_box(heis), [1e-300], 8)
+    assert tiny.ratios == tiny.bounds == (0.0,)
+    assert tiny.margins == (0.0,) and tiny.passed
+
+
+def test_node_budget_raises_before_any_grid(quat):
+    box = default_box(quat)
+    with pytest.raises(ValueError, match=str(10**12)):
+        mcp_report(quat, 0.0, 13.0, box, [0.5], 10**4)
+    with pytest.raises(ValueError, match=str(10**16)):
+        mcp_report(quat, -1.0, 13.0, box, [0.5], 10**4)
+    with pytest.raises(ValueError, match=str(10**12)):
+        contraction_ratio(quat, box, 0.5, 10**4)
 
 
 def test_verdicts_stable_under_quadrature_refinement(heis):

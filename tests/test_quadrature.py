@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from htcarnot.quadrature import (
-    CHUNK,
+    NODE_BUDGET,
     gauss_legendre,
     grid_chunk,
     mapped_rule,
     pairwise_sum,
-    tensor_quadrature,
+    pairwise_sums,
+    require_node_budget,
+    tensor_grid,
 )
 
 
@@ -63,40 +65,34 @@ def test_grid_chunk_covers_grid_in_row_major_order():
     np.testing.assert_array_equal(sub_wts, wts[2:7])
 
 
-def test_tensor_quadrature_separable_integrand():
-    got = tensor_quadrature(
-        lambda p: np.cos(p[:, 0]) * np.exp(p[:, 1]),
-        [0.0, 0.0], [1.0, 2.0], 12)
-    exact = math.sin(1.0) * (math.e**2 - 1.0)
-    assert got == pytest.approx(exact, rel=1e-14)
+def test_pairwise_sums_rows_match_pairwise_sum():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 7, 64, 1000):
+        rows = rng.standard_normal((3, size)) * 10.0 ** rng.integers(-8, 8, (3, size))
+        got = pairwise_sums(rows)
+        assert got.shape == (3,)
+        assert got.tolist() == [pairwise_sum(row) for row in rows]
+    assert pairwise_sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
 
 
-def test_tensor_quadrature_worker_count_is_bit_for_bit():
-    def integrand(p):
-        return np.sin(p[:, 0] * p[:, 1]) + p[:, 2] ** 3
-
-    lo, hi = [0.0, -1.0, 0.5], [2.0, 1.0, 1.5]
-    single = tensor_quadrature(integrand, lo, hi, 16, workers=1)
-    multi = tensor_quadrature(integrand, lo, hi, 16, workers=4)
-    assert single == multi
-
-
-def test_tensor_quadrature_chunk_size_is_bit_for_bit():
-    def integrand(p):
-        return 1.0 / (1.0 + p[:, 0] ** 2 + p[:, 1] ** 2)
-
-    lo, hi = [0.0, 0.0], [1.0, 1.0]
-    base = tensor_quadrature(integrand, lo, hi, 20)
-    small = tensor_quadrature(integrand, lo, hi, 20, chunk=37)
-    assert base == small
+def test_tensor_grid_is_the_full_row_major_grid():
+    pts, wts = tensor_grid([0.0, -1.0], [1.0, 3.0], 3)
+    x0, w0 = mapped_rule(0.0, 1.0, 3)
+    x1, w1 = mapped_rule(-1.0, 3.0, 3)
+    np.testing.assert_array_equal(pts, [(a, b) for a in x0 for b in x1])
+    np.testing.assert_array_equal(wts, [a * b for a in w0 for b in w1])
+    pts, wts = tensor_grid([0.0, 0.0], [1.0, 2.0], 12)
+    got = pairwise_sum(wts * np.cos(pts[:, 0]) * np.exp(pts[:, 1]))
+    assert got == pytest.approx(math.sin(1.0) * (math.e**2 - 1.0), rel=1e-14)
 
 
-def test_tensor_quadrature_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        tensor_quadrature(lambda p: p[:, 0], [0.0, 0.0], [1.0], 4)
-    with pytest.raises(ValueError):
-        tensor_quadrature(lambda p: p[:, 0], [0.0], [1.0], 0)
-
-
-def test_default_chunk_is_power_of_two():
-    assert CHUNK & (CHUNK - 1) == 0
+def test_node_budget_rejects_before_allocating():
+    require_node_budget(2, 22)
+    with pytest.raises(ValueError, match=str(2**23)):
+        require_node_budget(2, 23)
+    with pytest.raises(ValueError, match=str(10**28)):
+        tensor_grid([0.0] * 7, [1.0] * 7, 10**4)
+    # the rule's eigenproblem has npts^2 entries
+    side = math.isqrt(NODE_BUDGET)
+    with pytest.raises(ValueError, match="eigenproblem"):
+        gauss_legendre(side + 1)
