@@ -185,24 +185,6 @@ def _check_covector(sc, lam: Covector):
         )
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Block data of a covector: angles and squared block norms of u."""
-
-    theta: tuple[float, ...]
-    u0_norm2: float
-    ui_norm2: tuple[float, ...]
-
-
-def spectral_split(sc: StructureConstants, lam: Covector) -> SpectralSplit:
-    _check_covector(sc, lam)
-    vn = float(np.linalg.norm(lam.v))
-    theta = tuple(b.alpha * vn for b in sc.blocks)
-    ker = lam.u[sc.kernel_indices]
-    ui = tuple(float(lam.u[b.indices] @ lam.u[b.indices]) for b in sc.blocks)
-    return SpectralSplit(theta=theta, u0_norm2=float(ker @ ker), ui_norm2=ui)
-
-
 def apply_analytic(sc: StructureConstants, v, fn: AnalyticPair, w) -> np.ndarray:
     """Evaluate fn(L_v) w as even(theta) w + odd(theta) L_v w, theta = s |v|."""
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
@@ -219,14 +201,16 @@ def _exp_rows(sc, u, v):
     # exp at the covectors (u_i, v_i), the rows of u (m, k) and v (m, p).
     # Only elementwise products and row sums are used, so the bits of a row
     # do not depend on the other rows: geodesic_sample matches exp_map.
-    vn = np.linalg.norm(v, axis=1, keepdims=True)
-    theta = vn * sc.s_diag
-    lv = sum(v[:, a, None, None] * sc.L[a] for a in range(sc.corank))
+    # z = (1/2) sum_c s_c^2 h3(theta_c) u_c^2 v, the sum of _vertical_reach;
+    # + 0.0 turns the -0.0 of t = 0 rows into 0.0
+    s = sc.s_diag
+    theta = np.linalg.norm(v, axis=1, keepdims=True) * s
+    lv = np.sum(v[:, :, None, None] * sc.L, axis=1)
     lu = np.sum(lv * u[:, None, :], axis=2)
     x = F_PAIR.even_part(theta) * u + F_PAIR.odd_part(theta) * lu
-    quad = np.sum(one_minus_sinc(theta) * u * u, axis=1, keepdims=True)
-    safe = np.where(vn == 0.0, 1.0, vn)
-    return x, np.where(vn == 0.0, 0.0, quad / (2.0 * safe * safe) * v)
+    reach = np.sum((s * s * theta_minus_sin_over_cube(theta)) * (u * u), axis=1,
+                   keepdims=True)
+    return x, 0.5 * reach * v + 0.0
 
 
 def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
@@ -234,7 +218,8 @@ def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
 
     The horizontal part is f(L_v) u with f(z) = (1 - e^-z)/z; the vertical
     part is the quadratic form (g(L_v) u . u) / (2 |v|^2) times v, with
-    g(z) = 1 - sinh(z)/z, and 0 when v = 0.  Total and smooth on all of
+    g(z) = 1 - sinh(z)/z, evaluated as (1/2) sum_c s_c^2 h3(theta_c) u_c^2
+    times v (h3 = theta_minus_sin_over_cube).  Total and smooth on all of
     R^k x R^p.
     """
     _check_covector(sc, lam)
@@ -276,9 +261,11 @@ def _jacobian_factors(alphas, pair_mults, theta):
 def _jacobian_core(alphas, pair_mults, corank, q, vnorm):
     """Vectorized Jacobian determinant of the exponential map.
 
-    Parameters are per-block arrays: q has shape (..., d) holding the squared
-    block norms of u, vnorm has shape (...,).  Valid for vnorm strictly below
-    the first conjugate radius; the v -> 0 limit is exact by construction:
+    alphas, pair_mults and the last axis of q index either eigenblocks (q the
+    squared block norms of u, pair_mults the pair counts) or coordinates
+    (alphas = diag S, pair_mults = 1/2, q = u^2); vnorm has the shape of
+    q[..., 0].  Valid for vnorm strictly below the first conjugate radius;
+    the v -> 0 limit is exact by construction:
 
         J = pref * (sum_j q_j a_j)^(p-1) * (sum_j q_j b_j)
 
@@ -300,12 +287,7 @@ def jacobian(sc: StructureConstants, lam: Covector) -> float:
             f"|v| = {vn:.6g} is not below the first conjugate radius "
             f"{sc.first_conjugate_radius:.6g}"
         )
-    split = spectral_split(sc, lam)
-    q = np.array(split.ui_norm2)
-    val = _jacobian_core(
-        sc.block_alphas(), sc.block_pairs(), sc.corank, q, np.float64(vn)
-    )
-    return float(val)
+    return float(_jacobian_core(sc.s_diag, 0.5, sc.corank, lam.u * lam.u, np.float64(vn)))
 
 
 def cut_time(sc: StructureConstants, lam: Covector) -> float:

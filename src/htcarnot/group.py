@@ -60,7 +60,7 @@ def multiply(sc: StructureConstants, p_left: GroupPoint, p_right: GroupPoint) ->
     _check_point(sc, p_left)
     _check_point(sc, p_right)
     x, xp = p_left.x, p_right.x
-    corr = np.array([0.5 * (x @ (La @ xp)) for La in sc.L])
+    corr = 0.5 * np.vecdot(sc.L @ xp, x)
     return GroupPoint(x + xp, p_left.z + p_right.z + corr)
 
 
@@ -83,15 +83,9 @@ def frame_fields(sc: StructureConstants, p: GroupPoint) -> list[np.ndarray]:
     length n = k + p each.
     """
     _check_point(sc, p)
-    k, pdim = sc.rank, sc.corank
-    lx = np.stack([La @ p.x for La in sc.L])  # (p, k); row a holds L^a x
-    fields = []
-    for i in range(k):
-        vec = np.zeros(k + pdim)
-        vec[i] = 1.0
-        vec[k:] = -0.5 * lx[:, i]
-        fields.append(vec)
-    return fields
+    k = sc.rank
+    lx = sc.L @ p.x  # (p, k); row a holds L^a x
+    return list(np.hstack((np.eye(k), -0.5 * lx.T)))
 
 
 def translation_differential(sc: StructureConstants, p_left: GroupPoint) -> np.ndarray:
@@ -101,8 +95,7 @@ def translation_differential(sc: StructureConstants, p_left: GroupPoint) -> np.n
     with d z''_a / d x'_j = (1/2) (x^T L^a)_j in the lower-left block.
     """
     _check_point(sc, p_left)
-    k, pdim = sc.rank, sc.corank
-    out = np.eye(k + pdim)
-    for a, La in enumerate(sc.L):
-        out[k + a, :k] = 0.5 * (p_left.x @ La)
+    k = sc.rank
+    out = np.eye(sc.dim)
+    out[k:, :k] = 0.5 * (p_left.x @ sc.L)
     return out

@@ -80,27 +80,18 @@ def mapped_rule(lo: float, hi: float, npts: int) -> tuple[np.ndarray, np.ndarray
     return lo + half * (x + 1.0), half * w
 
 
-def grid_chunk(nodes, weights, npts: int, start: int, stop: int):
-    """Points and weights for linear indices [start, stop) of the tensor grid.
-
-    The grid is ordered row-major (last axis fastest), so a window always
-    slices the same nodes into the same positions.
-    """
-    dim = len(nodes)
-    idx = np.arange(start, stop)
-    pts = np.empty((idx.size, dim))
-    wts = np.ones(idx.size)
-    rem = idx
-    for axis in range(dim - 1, -1, -1):
-        rem, col = np.divmod(rem, npts)
-        pts[:, axis] = nodes[axis][col]
-        wts *= weights[axis][col]
-    return pts, wts
-
-
 def tensor_grid(lower, upper, npts: int):
-    """All npts^dim points and weights of the Gauss-Legendre rule on [lower, upper]."""
-    require_node_budget(npts, len(lower))
+    """All npts^dim points and weights of the Gauss-Legendre rule on [lower, upper].
+
+    The grid is ordered row-major (last axis fastest); each weight is the
+    product of its axis weights, multiplied in from the last axis to the first.
+    """
+    dim = len(lower)
+    require_node_budget(npts, dim)
     rules = [mapped_rule(lo, hi, npts) for lo, hi in zip(lower, upper)]
-    return grid_chunk([r[0] for r in rules], [r[1] for r in rules], npts, 0,
-                      npts ** len(rules))
+    idx = np.indices((npts,) * dim).reshape(dim, -1)
+    pts = np.stack([x[col] for (x, _), col in zip(rules, idx)], axis=-1)
+    wts = np.ones(idx.shape[1])
+    for (_, w), col in zip(rules[::-1], idx[::-1]):
+        wts *= w[col]
+    return pts, wts

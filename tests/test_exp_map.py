@@ -16,9 +16,9 @@ from htcarnot import (
     is_abnormal,
     l_of_v,
     multiply,
-    spectral_split,
 )
 from htcarnot.catalog import catalog_structure
+from htcarnot.geodesics import _vertical_reach
 
 from conftest import seeded_covectors
 
@@ -162,16 +162,23 @@ def test_product_of_exponentials_along_one_block(contact):
     lam = Covector([0.9, 0.2, 0.0, 0.0], [1.1])
     pt = exp_map(contact, lam)
     assert np.array_equal(pt.x[2:], np.zeros(2))
-    split = spectral_split(contact, lam)
-    assert split.ui_norm2[1] == 0.0
 
 
-def test_spectral_split_values(contact):
-    lam = Covector([3.0, 0.0, 0.0, 4.0], [2.0])
-    split = spectral_split(contact, lam)
-    assert split.theta == (2.0, 4.0)
-    assert split.ui_norm2 == (9.0, 16.0)
-    assert split.u0_norm2 == 0.0
+def test_vertical_part_is_the_vertical_reach(group):
+    # exp's z and log's F(r) share one sum: |z| = F(|v|) along v/|v|
+    for u, v in seeded_covectors(group, 20, stream=10):
+        z = exp_map(group, Covector(u, v)).z
+        reach = _vertical_reach(group, u, float(np.linalg.norm(v)))
+        assert float(np.linalg.norm(z)) == pytest.approx(reach, rel=1e-15, abs=0.0)
+
+
+def test_time_zero_rows_have_positive_zero_z(group):
+    # t v = -0.0 on negative v components; z must still print 0.0
+    u = np.linspace(-1.0, 1.0, group.rank)
+    v = -np.linspace(0.5, 1.0, group.corank)
+    start = geodesic_sample(group, Covector(u, v), [0.0, 0.5])[0]
+    assert start.z.tolist() == [0.0] * group.corank
+    assert not np.any(np.signbit(start.z))
 
 
 def test_geodesic_concatenation(group):

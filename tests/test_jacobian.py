@@ -3,9 +3,40 @@
 import numpy as np
 import pytest
 
-from htcarnot import Covector, OutOfDomain, exp_map, jacobian
+from htcarnot import (
+    Covector,
+    OutOfDomain,
+    catalog_names,
+    catalog_structure,
+    exp_map,
+    jacobian,
+    structure_from_matrices,
+)
+from htcarnot.geodesics import _jacobian_core
 
 from conftest import seeded_covectors
+
+
+def block_jacobian(sc, lam):
+    """J in eigenblock form: one angle alpha_j |v| and one squared norm per block."""
+    q = np.array([lam.u[b.indices] @ lam.u[b.indices] for b in sc.blocks])
+    vn = np.float64(np.linalg.norm(lam.v))
+    return float(_jacobian_core(sc.block_alphas(), sc.block_pairs(), sc.corank, q, vn))
+
+
+def _permuted_contact():
+    # ker S between block coordinates, blocks split apart
+    sc = catalog_structure("contact12")
+    perm = np.array([3, 0, 2, 1])
+    return structure_from_matrices(sc.S[np.ix_(perm, perm)], sc.L[:, perm][:, :, perm])
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "contact12-permuted"])
+def test_per_coordinate_matches_block_formula(name):
+    sc = _permuted_contact() if name == "contact12-permuted" else catalog_structure(name)
+    for u, v in seeded_covectors(sc, 40, stream=11):
+        lam = Covector(u, v)
+        assert jacobian(sc, lam) == pytest.approx(block_jacobian(sc, lam), rel=1e-14, abs=0.0)
 
 
 def fd_determinant(sc, lam, h=1e-6):

@@ -32,16 +32,20 @@ from htcarnot import (
     sharpness_box,
     sharpness_witness,
 )
+from htcarnot import mcp as mcp_module
 from htcarnot.geodesics import _jacobian_core
 from htcarnot.mcp import _require_box_in_domain, _sinh_ratio
-from htcarnot.quadrature import grid_chunk, mapped_rule, pairwise_sum
+from htcarnot.quadrature import mapped_rule, pairwise_sum
+from htcarnot.randomness import DEFAULT_SEED, generator
 
 
 def full_grid(box, quad):
     """Every node and weight of the tensor Gauss-Legendre rule on the box."""
-    rules = [mapped_rule(lo, hi, quad) for lo, hi in zip(box.lower, box.upper)]
-    return grid_chunk([r[0] for r in rules], [r[1] for r in rules], quad, 0,
-                      quad**box.dim)
+    rules = [list(zip(*mapped_rule(lo, hi, quad))) for lo, hi in zip(box.lower, box.upper)]
+    nodes = list(itertools.product(*rules))
+    pts = np.array([[x for x, _ in node] for node in nodes])
+    wts = np.array([math.prod(w for _, w in node) for node in nodes])
+    return pts, wts
 
 
 # --- dimension bookkeeping ---------------------------------------------------
@@ -179,6 +183,32 @@ def test_jacobian_contraction_sampled(group):
     assert rep.passed
     assert rep.samples == 100
     assert rep.min_margin >= -1e-12
+
+
+def test_jacobian_contraction_matches_per_sample_loop(group):
+    # the same stream-2 draws, one jacobian call per sample and t
+    ts = (0.1, 0.5, 0.9)
+    box = default_box(group)
+    draws = generator(DEFAULT_SEED, stream=2).uniform(box.lower, box.upper, size=(40, box.dim))
+    p = group.corank
+    margins = []
+    for row in draws:
+        lam = Covector(row[: group.rank], row[group.rank:])
+        base = jacobian(group, lam)
+        margins += [jacobian(group, lam.scale(t)) / (t ** (2 * p) * base) - 1.0 for t in ts]
+    rep = check_jacobian_contraction(group, 40, ts)
+    assert rep.min_margin == pytest.approx(min(margins), rel=0.0, abs=1e-14)
+
+
+def test_jacobian_contraction_batches_do_not_change_the_margin(quat, monkeypatch):
+    whole = check_jacobian_contraction(quat, 30, (0.2, 0.7))
+    monkeypatch.setattr(mcp_module, "NODE_BUDGET", 3 * quat.rank)  # one sample per batch
+    assert check_jacobian_contraction(quat, 30, (0.2, 0.7)) == whole
+
+
+def test_jacobian_contraction_empty_grid(heis):
+    rep = check_jacobian_contraction(heis, 5, ())
+    assert rep.min_margin == math.inf and rep.passed and rep.t_grid == ()
 
 
 def test_jacobian_contraction_deterministic(heis):

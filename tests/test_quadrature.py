@@ -8,7 +8,6 @@ import pytest
 from htcarnot.quadrature import (
     NODE_BUDGET,
     gauss_legendre,
-    grid_chunk,
     mapped_rule,
     pairwise_sum,
     pairwise_sums,
@@ -52,19 +51,6 @@ def test_rule_exact_on_polynomials():
             assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
 
-def test_grid_chunk_covers_grid_in_row_major_order():
-    nodes = [np.array([0.0, 1.0, 2.0]), np.array([10.0, 20.0, 30.0])]
-    weights = [np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])]
-    pts, wts = grid_chunk(nodes, weights, 3, 0, 9)
-    expected_pts = [(a, b) for a in (0.0, 1.0, 2.0) for b in (10.0, 20.0, 30.0)]
-    np.testing.assert_array_equal(pts, expected_pts)
-    assert wts[0] == 0.5 * 0.2 and wts[-1] == 0.2 * 0.5
-    # partial window picks the same rows
-    sub_pts, sub_wts = grid_chunk(nodes, weights, 3, 2, 7)
-    np.testing.assert_array_equal(sub_pts, pts[2:7])
-    np.testing.assert_array_equal(sub_wts, wts[2:7])
-
-
 def test_pairwise_sums_rows_match_pairwise_sum():
     rng = np.random.default_rng(5)
     for size in (1, 2, 7, 64, 1000):
@@ -81,6 +67,13 @@ def test_tensor_grid_is_the_full_row_major_grid():
     x1, w1 = mapped_rule(-1.0, 3.0, 3)
     np.testing.assert_array_equal(pts, [(a, b) for a in x0 for b in x1])
     np.testing.assert_array_equal(wts, [a * b for a in w0 for b in w1])
+    # three axes: each weight is multiplied in from the last axis to the first
+    lower, upper = [0.0, -1.0, 2.0], [0.3, 2.5, 7.0]
+    pts, wts = tensor_grid(lower, upper, 4)
+    rules = [mapped_rule(lo, hi, 4) for lo, hi in zip(lower, upper)]
+    (x0, w0), (x1, w1), (x2, w2) = rules
+    np.testing.assert_array_equal(pts, [(a, b, c) for a in x0 for b in x1 for c in x2])
+    assert wts.tolist() == [(c * b) * a for a in w0 for b in w1 for c in w2]
     pts, wts = tensor_grid([0.0, 0.0], [1.0, 2.0], 12)
     got = pairwise_sum(wts * np.cos(pts[:, 0]) * np.exp(pts[:, 1]))
     assert got == pytest.approx(math.sin(1.0) * (math.e**2 - 1.0), rel=1e-14)
