@@ -5,9 +5,10 @@ L_v acts on horizontal coordinate c as even(theta_c) + odd(theta_c) L_v,
 with the per-coordinate angle theta_c = s_c |v| (s = diag S).  On ker S,
 theta_c = 0 and L_v vanishes.  Everything here therefore reduces to scalar
 functions of these angles, evaluated on all coordinates at once.  Each
-scalar helper switches to a short Taylor series below theta = 1e-4, so
-all removable singularities at v = 0 evaluate to their exact limits and no
-branch introduces a jump.
+scalar helper whose direct form cancels near 0 switches to its Taylor
+series below theta = 0.5, so all removable singularities at v = 0 evaluate
+to their exact limits and both sides of the switch are accurate to a few
+units in the last place.
 """
 
 from __future__ import annotations
@@ -29,7 +30,17 @@ from .errors import (
 from .group import GroupPoint, inverse, multiply
 from .structure import StructureConstants, l_of_v
 
-_SMALL_THETA = 1e-4
+_SMALL_THETA = 0.5
+
+# Taylor coefficients of sinc, of h3 = (theta - sin theta)/theta^3 (so also
+# of (1 - sinc)/theta^2), both in theta^2, and of (1 - x cot x)/x^2 in x^2;
+# at |theta| < 0.5 the first omitted term is below 1e-17 relative
+_SINC_SERIES = (1.0, -1.0 / 6, 1.0 / 120, -1.0 / 5040, 1.0 / 362880, -1.0 / 39916800,
+                1.0 / 6227020800, -1.0 / 1307674368000)
+_H3_SERIES = (1.0 / 6, -1.0 / 120, 1.0 / 5040, -1.0 / 362880, 1.0 / 39916800,
+              -1.0 / 6227020800, 1.0 / 1307674368000, -1.0 / 355687428096000)
+_COT_SERIES = (1.0 / 3, 1.0 / 45, 2.0 / 945, 1.0 / 4725, 2.0 / 93555,
+               1382.0 / 638512875, 4.0 / 18243225, 3617.0 / 162820783125)
 
 
 def _switch(theta, direct: Callable, series: Callable):
@@ -46,20 +57,16 @@ def _switch(theta, direct: Callable, series: Callable):
 
 def sinc(theta):
     """sin(theta)/theta with the limit 1 at 0."""
-    return _switch(
-        theta,
-        lambda t: np.sin(t) / t,
-        lambda t: _poly(t, 1.0, -1.0 / 6, 1.0 / 120, -1.0 / 5040, 1.0 / 362880),
-    )
+    return _switch(theta, lambda t: np.sin(t) / t, lambda t: _poly(t, *_SINC_SERIES))
 
 
 def cos_minus_one_over_sq(theta):
-    """(cos(theta) - 1)/theta^2 with the limit -1/2 at 0."""
-    return _switch(
-        theta,
-        lambda t: (np.cos(t) - 1.0) / (t * t),
-        lambda t: _poly(t, -0.5, 1.0 / 24, -1.0 / 720, 1.0 / 40320, -1.0 / 3628800),
-    )
+    """(cos(theta) - 1)/theta^2 with the limit -1/2 at 0.
+
+    Evaluated as -sinc(theta/2)^2 / 2, which does not cancel near 0 or near
+    2 pi, where cos(theta) - 1 vanishes.
+    """
+    return -0.5 * sinc(0.5 * np.asarray(theta, dtype=np.float64)) ** 2
 
 
 def one_minus_sinc(theta):
@@ -67,8 +74,7 @@ def one_minus_sinc(theta):
     return _switch(
         theta,
         lambda t: 1.0 - np.sin(t) / t,
-        lambda t: t * t * _poly(t, 1.0 / 6, -1.0 / 120, 1.0 / 5040, -1.0 / 362880,
-                                1.0 / 39916800),
+        lambda t: t * t * _poly(t, *_H3_SERIES),
     )
 
 
@@ -77,8 +83,7 @@ def theta_minus_sin_over_cube(theta):
     return _switch(
         theta,
         lambda t: (t - np.sin(t)) / (t * t * t),
-        lambda t: _poly(t, 1.0 / 6, -1.0 / 120, 1.0 / 5040, -1.0 / 362880,
-                        1.0 / 39916800),
+        lambda t: _poly(t, *_H3_SERIES),
     )
 
 
@@ -92,12 +97,7 @@ def half_angle_defect(theta):
         x = 0.5 * t
         return (np.sin(x) - x * np.cos(x)) / (4.0 * x * x * np.sin(x))
 
-    def series(t):
-        x2 = 0.25 * t * t
-        # (1 - x cot x) = x^2/3 + x^4/45 + 2 x^6/945 + x^8/4725 + ...
-        return 0.25 * (1.0 / 3 + x2 * (1.0 / 45 + x2 * (2.0 / 945 + x2 / 4725)))
-
-    return _switch(theta, direct, series)
+    return _switch(theta, direct, lambda t: 0.25 * _poly(0.5 * t, *_COT_SERIES))
 
 
 def _poly(t, *coeffs):

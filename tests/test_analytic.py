@@ -1,5 +1,7 @@
 """The even/odd functional calculus against brute-force matrix series."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -123,31 +125,81 @@ def _taylor(theta, coeffs):
     return total
 
 
-@pytest.mark.parametrize("fn,coeffs,rel", [
-    (sinc, [1.0, -1 / 6, 1 / 120, -1 / 5040], 1e-13),
-    (one_minus_sinc, [0.0, 1 / 6, -1 / 120, 1 / 5040], 1e-10),
-    (cos_minus_one_over_sq, [-0.5, 1 / 24, -1 / 720, 1 / 40320], 5e-8),
-    (theta_minus_sin_over_cube, [1 / 6, -1 / 120, 1 / 5040, -1 / 362880], 5e-8),
-    (half_angle_defect, [1 / 12, 1 / 720, 1 / 30240, 1 / 1209600], 2e-7),
+@pytest.mark.parametrize("fn,coeffs", [
+    (sinc, [1.0, -1 / 6, 1 / 120, -1 / 5040]),
+    (one_minus_sinc, [0.0, 1 / 6, -1 / 120, 1 / 5040]),
+    (cos_minus_one_over_sq, [-0.5, 1 / 24, -1 / 720, 1 / 40320]),
+    (theta_minus_sin_over_cube, [1 / 6, -1 / 120, 1 / 5040, -1 / 362880]),
+    (half_angle_defect, [1 / 12, 1 / 720, 1 / 30240, 1 / 1209600]),
 ], ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau"])
-def test_series_branch_accuracy_across_switch(fn, coeffs, rel):
-    # values straddling the 1e-4 branch threshold: the series side is exact
-    # to rounding, while the direct side loses digits to cancellation; each
-    # function gets the tolerance its cancellation structure allows (about
-    # 8 digits for the single-difference forms, 7 for the tau double form)
+def test_series_branch_accuracy_across_switch(fn, coeffs):
+    # values straddling 1e-4, where the direct forms lost up to 7 digits to
+    # cancellation before the switch moved to 0.5
     for th in (1e-6, 5e-5, 9.9e-5, 1.01e-4, 1.5e-4, 3e-4):
         ref = _taylor(th, coeffs)
-        assert fn(th) == pytest.approx(ref, rel=rel)
+        assert fn(th) == pytest.approx(ref, rel=1e-15)
 
 
-@pytest.mark.parametrize("fn", [sinc, one_minus_sinc],
-                         ids=["sinc", "one-minus-sinc"])
+@pytest.mark.parametrize("fn", [sinc, one_minus_sinc, cos_minus_one_over_sq,
+                                theta_minus_sin_over_cube, half_angle_defect],
+                         ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau"])
 def test_branch_switch_is_smooth_without_cancellation(fn):
-    # these two have no subtractive cancellation, so crossing the threshold
-    # must leave no visible kink
-    probe = np.linspace(8e-5, 1.2e-4, 41)
+    # crossing the series/direct threshold at 0.5 must leave no visible kink
+    probe = np.linspace(0.5 - 2e-5, 0.5 + 2e-5, 41)
     second = np.diff(fn(probe), n=2)
     assert np.max(np.abs(second)) < 1e-11
+
+
+def _fraction_sin_cos(theta):
+    # sin and cos of the float theta as exact 40-term Taylor sums; the
+    # truncation is below 1e-50 relative on (0, 2 pi)
+    x = Fraction(theta)
+    sin, cos, term = Fraction(0), Fraction(0), Fraction(1)
+    for n in range(80):
+        if n % 2 == 0:
+            cos += (-1) ** (n // 2) * term
+        else:
+            sin += (-1) ** (n // 2) * term
+        term = term * x / (n + 1)
+    return sin, cos
+
+
+def _reference(theta):
+    # the five helpers from their defining expressions, in exact arithmetic
+    t = Fraction(theta)
+    sin, cos = _fraction_sin_cos(theta)
+    half_sin, half_cos = _fraction_sin_cos(theta / 2)
+    x = t / 2
+    return {
+        "sinc": sin / t,
+        "cosm1": (cos - 1) / (t * t),
+        "one-minus-sinc": 1 - sin / t,
+        "h3": (t - sin) / (t * t * t),
+        "tau": (half_sin - x * half_cos) / (4 * x * x * half_sin),
+    }
+
+
+_HELPERS = {"sinc": sinc, "cosm1": cos_minus_one_over_sq, "one-minus-sinc": one_minus_sinc,
+            "h3": theta_minus_sin_over_cube, "tau": half_angle_defect}
+
+
+def test_scalar_helpers_against_exact_reference():
+    # dense around both the old (1e-4) and the new (0.5) switch, then out to
+    # just below 2 pi, where cos - 1, sin and the tau denominator vanish
+    thetas = np.concatenate((
+        np.geomspace(1e-7, 6.28, 60),
+        np.linspace(0.45, 0.55, 21),
+        np.nextafter(0.5, [0.0, 1.0]),
+        [9.99e-5, 1.0001e-4, 0.1, 0.1001, 0.13, np.pi, 6.283, 2 * np.pi * (1 - 1e-9)],
+    ))
+    worst = {name: 0.0 for name in _HELPERS}
+    for th in thetas:
+        th = float(th)
+        for name, exact in _reference(th).items():
+            got = _HELPERS[name](th)
+            err = abs(Fraction(got) - exact) / abs(exact)
+            worst[name] = max(worst[name], float(err))
+    assert max(worst.values()) <= 2e-13, worst
 
 
 def test_vector_and_scalar_agree():

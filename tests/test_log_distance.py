@@ -153,6 +153,15 @@ def test_log_endpoint_check_is_relative(heis):
     assert err <= 1e-12 * np.linalg.norm(lam.as_vector())
 
 
+def test_round_trip_with_small_angle_and_large_u(heis):
+    # theta = 2e-4 sits just above the old series switch at 1e-4, where the
+    # direct forms cancelled and the endpoint missed by 2.0e-5
+    lam = Covector(1e4 * np.array([1.0, 0.3]), [2e-4])
+    back = log_map(heis, exp_map(heis, lam))
+    err = np.linalg.norm(back.as_vector() - lam.as_vector())
+    assert err <= 1e-12 * np.linalg.norm(lam.as_vector())
+
+
 def test_distance_bound_rejects_reachable_targets(heis):
     with pytest.raises(ValueError):
         distance_bound(heis, GroupPoint([1.0, 0.0], [0.0]))
