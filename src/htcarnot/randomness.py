@@ -6,6 +6,8 @@ are cheap and the draws of one stream never depend on how another stream is
 consumed.  With a fixed seed, every run of the library is bit-reproducible.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 DEFAULT_SEED = 0xC4A07

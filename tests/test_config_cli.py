@@ -299,6 +299,16 @@ def test_import_leaves_scipy_unloaded():
     assert res.returncode == 0, res.stderr
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # the seeded streams load numpy.random on first use, not at import
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, htcarnot; assert 'numpy.random' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_import_leaves_thread_pools_unloaded():
     res = subprocess.run(
         [sys.executable, "-c",
