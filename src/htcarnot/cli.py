@@ -53,6 +53,7 @@ from .mcp import (
     sharpness_box,
     sharpness_witness,
 )
+from .quadrature import NODE_BUDGET
 from .randomness import DEFAULT_SEED
 from .structure import existence_check, validate_structure
 
@@ -198,6 +199,13 @@ def cmd_exp(args) -> int:
     sc, _ = _structure(args)
     if args.steps <= 0:
         raise ConfigError(f"--steps must be positive, got {args.steps}")
+    # the geodesic is evaluated on (steps + 1) rows of a rank x rank L_v
+    max_steps = NODE_BUDGET // sc.rank**2 - 1
+    if args.steps > max_steps:
+        raise ConfigError(
+            f"--steps must be at most {max_steps} for rank {sc.rank} "
+            f"(at most {NODE_BUDGET} values per evaluation), got {args.steps}"
+        )
     u = np.asarray(args.u)
     v = np.asarray(args.v)
     if u.shape != (sc.rank,) or v.shape != (sc.corank,):

@@ -367,6 +367,17 @@ def test_mcp_node_budget_exits_three():
     assert str(10**16) in res.stderr
 
 
+@pytest.mark.parametrize("steps", [10**12, 2**22 // 16])
+def test_exp_steps_above_budget_exit_three(steps):
+    # rejected before any time list or L_v stack is built; htype4x3 has rank
+    # 4, so at most 2^22 / 16 - 1 steps fit the node budget
+    res = run_cli("exp", "--group", "htype4x3", "--u", "1,0,0,0", "--v", "0.5,0,0",
+                  "--steps", str(steps))
+    assert res.returncode == 3
+    assert "at most 262143" in res.stderr
+    assert res.stdout == ""
+
+
 def test_mcp_explicit_box_argument():
     res = run_cli("mcp", "--group", "heisenberg3",
                   "--box", "0.5,0.5,0.5;1.5,1.5,1.5", "--t-grid", "0.5", "--quiet")
