@@ -45,13 +45,17 @@ _COT_SERIES = (1.0 / 3, 1.0 / 45, 2.0 / 945, 1.0 / 4725, 2.0 / 93555,
 
 def _switch(theta, direct: Callable, series: Callable):
     # Evaluate `direct` away from 0 and `series` below the cancellation
-    # threshold; `direct` is called on a masked copy so it never sees 0.
+    # threshold; `direct` never sees 0, and a branch no entry needs is skipped.
     th = np.asarray(theta, dtype=np.float64)
     scalar = th.ndim == 0
     th = np.atleast_1d(th)
     small = np.abs(th) < _SMALL_THETA
-    safe = np.where(small, 1.0, th)
-    out = np.where(small, series(th), direct(safe))
+    if not small.any():
+        out = direct(th)
+    elif small.all():
+        out = series(th)
+    else:
+        out = np.where(small, series(th), direct(np.where(small, 1.0, th)))
     return float(out[0]) if scalar else out
 
 
@@ -103,8 +107,8 @@ def half_angle_defect(theta):
 def _poly(t, *coeffs):
     # even polynomial sum c_i * t^(2i), Horner on t^2
     t2 = t * t
-    acc = np.zeros_like(t) + coeffs[-1]
-    for c in coeffs[-2::-1]:
+    acc = coeffs[-1] * t2 + coeffs[-2]
+    for c in coeffs[-3::-1]:
         acc = acc * t2 + c
     return acc
 
@@ -324,10 +328,12 @@ def is_abnormal(sc: StructureConstants, lam: Covector) -> bool:
 
 def _apply_f_inverse(sc, vn, x, lx):
     # f(L_v)^{-1} x from |v| and lx = L_v x, by the inverted even/odd pair:
-    # f has even part E = sinc, odd part O = cos_minus_one_over_sq, and
-    # E^2 + theta^2 O^2 = sinc(theta/2)^2 > 0 for theta < 2 pi.
+    # f has even part E = sinc, odd part O = cos_minus_one_over_sq =
+    # -h/2 with h = sinc(theta/2)^2, and E^2 + theta^2 O^2 = h > 0 for
+    # theta < 2 pi.
     theta = vn * sc.s_diag
-    return (sinc(theta) * x - cos_minus_one_over_sq(theta) * lx) / sinc(0.5 * theta) ** 2
+    h = sinc(0.5 * theta) ** 2
+    return (sinc(theta) * x + 0.5 * h * lx) / h
 
 
 def _vertical_reach(sc, u, r):
