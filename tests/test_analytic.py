@@ -133,8 +133,8 @@ def _taylor(theta, coeffs):
     (half_angle_defect, [1 / 12, 1 / 720, 1 / 30240, 1 / 1209600]),
 ], ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau"])
 def test_series_branch_accuracy_across_switch(fn, coeffs):
-    # values straddling 1e-4, where the direct forms lost up to 7 digits to
-    # cancellation before the switch moved to 0.5
+    # values straddling 1e-4, where the direct forms lose up to 7 digits to
+    # cancellation
     for th in (1e-6, 5e-5, 9.9e-5, 1.01e-4, 1.5e-4, 3e-4):
         ref = _taylor(th, coeffs)
         assert fn(th) == pytest.approx(ref, rel=1e-15)
@@ -152,7 +152,7 @@ def test_branch_switch_is_smooth_without_cancellation(fn):
 
 def _fraction_sin_cos(theta):
     # sin and cos of the float theta as exact 40-term Taylor sums; the
-    # truncation is below 1e-50 relative on (0, 2 pi)
+    # truncation is below 1e-45 relative on (0, 2 pi)
     x = Fraction(theta)
     sin, cos, term = Fraction(0), Fraction(0), Fraction(1)
     for n in range(80):
@@ -184,8 +184,8 @@ _HELPERS = {"sinc": sinc, "cosm1": cos_minus_one_over_sq, "one-minus-sinc": one_
 
 
 def test_scalar_helpers_against_exact_reference():
-    # dense around both the old (1e-4) and the new (0.5) switch, then out to
-    # just below 2 pi, where cos - 1, sin and the tau denominator vanish
+    # dense around 1e-4 and around the switch at 0.5, then out to just below
+    # 2 pi, where cos - 1, sin and the tau denominator vanish
     thetas = np.concatenate((
         np.geomspace(1e-7, 6.28, 60),
         np.linspace(0.45, 0.55, 21),
