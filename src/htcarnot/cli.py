@@ -5,7 +5,7 @@ JSON config file (positional argument) or from the built-in catalog via
 --group; exactly one of the two.
 
 Exit codes: 0 success, 1 validation failure, 2 mathematical-property
-failure, 3 malformed or unsupported input.
+failure, 3 malformed or unsupported input or an --out that cannot be written.
 
 All file output is deterministic: floats are printed with repr (shortest
 round-trip), lines end with LF, and identical inputs give byte-identical
@@ -15,6 +15,8 @@ files regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -157,10 +159,25 @@ def _structure(args):
 
 def _emit(lines, out: Path | None, quiet: bool):
     text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write_bytes(text.encode("ascii"))
-    elif not quiet:
-        sys.stdout.write(text)
+    if out is None:
+        if not quiet:
+            sys.stdout.write(text)
+        return
+    data = text.encode("ascii")
+    # overwrite in place, then cut to length: O_TRUNC on a file holding data
+    # stalls for tens of ms on ext4; a crash mid-rewrite may leave stale tail bytes
+    try:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _say(args, message: str):

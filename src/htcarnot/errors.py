@@ -34,7 +34,10 @@ class CutLocusTarget(HTCarnotError):
 
 
 class NoCandidateFound(HTCarnotError):
-    """No covector at the cut time reaches the target (the closed form fails)."""
+    """No covector found reaches the target to tolerance.
+
+    Raised by the cut-locus closed form and by log_map's final endpoint check.
+    """
 
 
 class WitnessNotFound(HTCarnotError):

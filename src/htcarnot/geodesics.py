@@ -206,7 +206,7 @@ def _exp_rows(sc, u, v):
     # Only elementwise products and row sums are used, so the bits of a row
     # do not depend on the other rows: geodesic_sample matches exp_map.
     # z = (1/2) sum_c s_c^2 h3(theta_c) u_c^2 v, the sum of _vertical_reach;
-    # + 0.0 turns the -0.0 of t = 0 rows into 0.0
+    # + 0.0 turns the -0.0 of t = 0 rows (t u and t v) into 0.0 in x and z
     s = sc.s_diag
     theta = np.linalg.norm(v, axis=1, keepdims=True) * s
     lv = np.sum(v[:, :, None, None] * sc.L, axis=1)
@@ -214,7 +214,7 @@ def _exp_rows(sc, u, v):
     x = F_PAIR.even_part(theta) * u + F_PAIR.odd_part(theta) * lu
     reach = np.sum((s * s * theta_minus_sin_over_cube(theta)) * (u * u), axis=1,
                    keepdims=True)
-    return x, 0.5 * reach * v + 0.0
+    return x + 0.0, 0.5 * reach * v + 0.0
 
 
 def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
@@ -370,7 +370,9 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     finding two brackets aborts loudly instead of guessing.
 
     Raises CutLocusTarget when no root exists (the target is not in the
-    diffeomorphic image) and IdentityTarget for the identity.
+    diffeomorphic image), NoCandidateFound when the polished covector misses
+    the target by more than the endpoint tolerance, and IdentityTarget for
+    the identity.
     """
     if target.x.shape != (sc.rank,) or target.z.shape != (sc.corank,):
         raise DimensionMismatch("target dimensions do not match the structure")
@@ -448,7 +450,7 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     lam = Covector(horizontal(root), root * vhat)
     residual, tol = _endpoint_residual(sc, lam, target, _LOG_ENDPOINT)
     if not residual <= tol:
-        raise RuntimeError(
+        raise NoCandidateFound(
             f"log residual {residual:.3e} exceeds {tol:.3e} after root polishing; "
             "this indicates a synthesis bug"
         )

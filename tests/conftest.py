@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from htcarnot import catalog_names, catalog_structure, generator
+from htcarnot import (
+    Covector,
+    GroupPoint,
+    catalog_names,
+    catalog_structure,
+    exp_map,
+    generator,
+)
 
 
 @pytest.fixture(scope="session")
@@ -46,4 +53,23 @@ def seeded_covectors(sc, count, stream, vmax_frac=0.95, su_min=0.1):
         direction /= np.linalg.norm(direction)
         r = rng.uniform(0.05, vmax_frac) * sc.first_conjugate_radius
         out.append((u, r * direction))
+    return out
+
+
+def edge_log_targets():
+    """Targets at the edge of the injectivity domain, as (id, group, point).
+
+    The heisenberg3 endpoints of u = (1, 0.3) at |v| = R (1 - 10^-s) for
+    s = 8, 9, 11, and the contact12 point (0.3, -0.2, 1e-9, 0; 5) just off
+    the vertical axis.  A log_map root solve may fail to reach any of them
+    to tolerance, but it must say so with a library error.
+    """
+    heis = catalog_structure("heisenberg3")
+    out = []
+    for s in (8, 9, 11):
+        v = heis.first_conjugate_radius * (1.0 - 10.0**-s)
+        pt = exp_map(heis, Covector(np.array([1.0, 0.3]), np.array([v])))
+        out.append((f"heisenberg3-s{s}", "heisenberg3", pt))
+    out.append(("contact12-eps1e-9", "contact12",
+                GroupPoint(np.array([0.3, -0.2, 1e-9, 0.0]), np.array([5.0]))))
     return out

@@ -1,6 +1,7 @@
 """Configuration parsing and the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ import pytest
 
 import htcarnot.errors
 from htcarnot import ConfigError, SpecNotRealizable, cli, parse_config
+
+from conftest import edge_log_targets
 
 
 def write_config(tmp_path, payload, name="group.json"):
@@ -211,6 +214,72 @@ def test_exp_csv_output(tmp_path):
     assert "cut time: 1.0" in res.stdout
 
 
+EXP_ARGS = ["exp", "--group", "heisenberg3", "--u=-1,0.5", "--v=-0.3", "--steps", "4"]
+
+
+def _exp_bytes(tmp_path):
+    fresh = tmp_path / "fresh.csv"
+    assert cli.main([*EXP_ARGS, "--quiet", "--out", str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+def test_out_overwrites_longer_file_in_place(tmp_path):
+    out = tmp_path / "arc.csv"
+    out.write_bytes(b"stale,row\n" * 1000)
+    out.chmod(0o640)
+    inode = out.stat().st_ino
+    assert cli.main([*EXP_ARGS, "--quiet", "--out", str(out)]) == 0
+    assert out.read_bytes() == _exp_bytes(tmp_path)
+    assert out.stat().st_ino == inode
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_rewrite_gives_identical_bytes(tmp_path):
+    out = tmp_path / "arc.csv"
+    assert cli.main([*EXP_ARGS, "--quiet", "--out", str(out)]) == 0
+    first = out.read_bytes()
+    assert cli.main([*EXP_ARGS, "--quiet", "--out", str(out)]) == 0
+    assert out.read_bytes() == first
+    assert first.split(b"\n")[1] == b"0.0,0.0,0.0,0.0"  # t = 0 row, no -0.0
+
+
+def test_out_through_symlink_updates_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert cli.main([*EXP_ARGS, "--quiet", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == _exp_bytes(tmp_path)
+
+
+def test_out_devnull_exits_zero():
+    assert run_cli(*EXP_ARGS, "--out", os.devnull).returncode == 0
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "a-directory", "missing-parent"])
+def test_unwritable_out_exits_three(tmp_path, where):
+    blocker = tmp_path / "plain.csv"
+    blocker.write_bytes(b"keep\n")
+    out = {"under-a-file": blocker / "x.csv", "a-directory": tmp_path,
+           "missing-parent": tmp_path / "absent" / "x.csv"}[where]
+    res = run_cli(*EXP_ARGS, "--out", str(out))
+    assert res.returncode == 3
+    assert res.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in res.stderr
+    assert blocker.read_bytes() == b"keep\n"
+
+
+def test_out_permission_error_exits_three(tmp_path, monkeypatch, capsys):
+    # a real refusal cannot be set up where tests run as root, so os.open refuses
+    def refuse(*args):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(cli.os, "open", refuse)
+    out = tmp_path / "arc.csv"
+    assert cli.main([*EXP_ARGS, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+
+
 def test_exp_rejects_zero_covector():
     res = run_cli("exp", "--group", "heisenberg3", "--u", "0,0", "--v", "0")
     assert res.returncode == 3
@@ -238,6 +307,16 @@ def test_log_cut_locus_exits_two():
         "cut locus target: no covector in the injectivity domain reaches this point\n"
         f"distance upper bound: {float(np.sqrt(4.0 * np.pi))!r}\n"
     )
+
+
+@pytest.mark.parametrize("case", edge_log_targets(), ids=lambda case: case[0])
+def test_log_edge_targets_exit_zero_or_two(case):
+    _, name, target = case
+    res = run_cli("log", "--group", name,
+                  "--x=" + ",".join(repr(float(c)) for c in target.x),
+                  "--z=" + ",".join(repr(float(c)) for c in target.z))
+    assert res.returncode in (0, 2)
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -173,12 +173,14 @@ def test_vertical_part_is_the_vertical_reach(group):
 
 
 def test_time_zero_rows_have_positive_zero_z(group):
-    # t v = -0.0 on negative v components; z must still print 0.0
+    # t u and t v are -0.0 on negative components; x and z must still print 0.0
     u = np.linspace(-1.0, 1.0, group.rank)
     v = -np.linspace(0.5, 1.0, group.corank)
     start = geodesic_sample(group, Covector(u, v), [0.0, 0.5])[0]
     assert start.z.tolist() == [0.0] * group.corank
     assert not np.any(np.signbit(start.z))
+    assert start.x.tolist() == [0.0] * group.rank
+    assert not np.any(np.signbit(start.x))
 
 
 def test_geodesic_concatenation(group):

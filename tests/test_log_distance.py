@@ -7,6 +7,7 @@ from htcarnot import (
     Covector,
     CutLocusTarget,
     GroupPoint,
+    HTCarnotError,
     IdentityTarget,
     NoCandidateFound,
     catalog_structure,
@@ -18,9 +19,9 @@ from htcarnot import (
     homothety,
     log_map,
 )
-from htcarnot.geodesics import _cut_locus_covector
+from htcarnot.geodesics import _LOG_ENDPOINT, _cut_locus_covector
 
-from conftest import seeded_covectors
+from conftest import edge_log_targets, seeded_covectors
 
 
 def test_round_trip_on_injectivity_domain(group):
@@ -161,6 +162,22 @@ def test_round_trip_with_small_angle_and_large_u(heis):
     back = log_map(heis, exp_map(heis, lam))
     err = np.linalg.norm(back.as_vector() - lam.as_vector())
     assert err <= 1e-12 * np.linalg.norm(lam.as_vector())
+
+
+@pytest.mark.parametrize("case", edge_log_targets(), ids=lambda case: case[0])
+def test_edge_targets_reach_tolerance_or_raise_library_error(case):
+    # a covector that log_map returns must meet the endpoint tolerance; a
+    # miss must be a library error (exit 2 on the command line), never a
+    # RuntimeError
+    _, name, target = case
+    sc = catalog_structure(name)
+    try:
+        lam = log_map(sc, target)
+    except HTCarnotError:
+        return
+    goal = target.as_vector()
+    residual = np.linalg.norm(exp_map(sc, lam).as_vector() - goal)
+    assert residual <= _LOG_ENDPOINT * max(1.0, np.linalg.norm(goal))
 
 
 def test_distance_bound_rejects_reachable_targets(heis):
