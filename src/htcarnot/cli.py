@@ -5,7 +5,8 @@ JSON config file (positional argument) or from the built-in catalog via
 --group; exactly one of the two.
 
 Exit codes: 0 success, 1 validation failure, 2 mathematical-property
-failure, 3 malformed or unsupported input or an --out that cannot be written.
+failure, 3 malformed or unsupported input, a config file that cannot be
+read, an --out that cannot be written, or a stdout closed by its reader.
 
 All file output is deterministic: floats are printed with repr (shortest
 round-trip), lines end with LF, and identical inputs give byte-identical
@@ -145,7 +146,10 @@ def _resolve_group(args):
         sc = catalog_structure(args.group)
         seed = DEFAULT_SEED if args.seed is None else args.seed
         return sc, None, seed
-    cfg = parse_config(args.config)
+    try:
+        cfg = parse_config(args.config)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {args.config}: {exc.strerror or exc}") from None
     seed = cfg.seed if args.seed is None else args.seed
     return None, cfg, seed
 
@@ -357,9 +361,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed by its reader: send what is still buffered to
+        # devnull so that the flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except (ConfigError, DimensionMismatch, IdentityTarget, ZeroCovector,
-            UnsupportedPositiveK, FileNotFoundError, IsADirectoryError) as exc:
+            UnsupportedPositiveK) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SpecNotRealizable, StructureInvalid) as exc:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -194,6 +195,41 @@ def test_usage_errors_exit_three(tmp_path):
                    str(write_config(tmp_path, SPECTRAL))).returncode == 3
     missing = run_cli("validate", str(tmp_path / "absent.json"))
     assert missing.returncode == 3
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "a-directory", "missing"])
+def test_unreadable_config_exits_three(tmp_path, where):
+    plain = write_config(tmp_path, SPECTRAL, name="cfg.json")
+    path = {"under-a-file": plain / "x.json", "a-directory": tmp_path,
+            "missing": tmp_path / "absent.json"}[where]
+    res = run_cli("validate", str(path))
+    assert res.returncode == 3
+    assert res.stderr.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_config_permission_error_exits_three(tmp_path, monkeypatch, capsys):
+    # a real refusal cannot be set up where tests run as root
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+    path = write_config(tmp_path, SPECTRAL)
+    assert cli.main(["validate", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: cannot read {path}: Permission denied\n"
+
+
+def test_closed_stdout_exits_three_without_traceback():
+    # the reader takes one line and closes the pipe while the CSV is written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "htcarnot.cli", "exp", "--group", "heisenberg3",
+         "--u", "1,0", "--v", "1", "--steps", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"t,x1,x2,z1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 3
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_exp_csv_output(tmp_path):

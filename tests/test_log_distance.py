@@ -10,6 +10,7 @@ from htcarnot import (
     HTCarnotError,
     IdentityTarget,
     NoCandidateFound,
+    catalog_names,
     catalog_structure,
     cut_time,
     distance,
@@ -19,9 +20,71 @@ from htcarnot import (
     homothety,
     log_map,
 )
-from htcarnot.geodesics import _LOG_ENDPOINT, _cut_locus_covector
+from htcarnot.geodesics import (
+    _LOG_ENDPOINT,
+    _apply_f_inverse,
+    _cut_locus_covector,
+    _reach,
+)
+from htcarnot.structure import GroupSpec, build_structure, l_of_v
 
-from conftest import edge_log_targets, seeded_covectors
+from conftest import edge_log_targets, reach_data, seeded_covectors
+
+
+@pytest.fixture(scope="module", params=[*catalog_names(), "octonionic"])
+def reach_group(request):
+    # the four catalog groups and the rank-8, corank-7 H-type group
+    if request.param == "octonionic":
+        return build_structure(GroupSpec(rank=8, corank=7, spectrum=((1.0, 4),)))
+    return catalog_structure(request.param)
+
+
+RADIUS_FRACTIONS = (1e-3, 0.1, 0.4, 0.7, 0.95, 1 - 1e-6, 1 - 1e-11)
+
+
+def test_closed_form_reach_matches_exp(reach_group):
+    # F(r) is |z| of exp at (f(L_v)^-1 x, r vhat), without forming that covector
+    sc = reach_group
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        x = rng.standard_normal(sc.rank)
+        vhat = rng.standard_normal(sc.corank)
+        vhat /= np.linalg.norm(vhat)
+        s, q = reach_data(sc, x)
+        for frac in RADIUS_FRACTIONS:
+            r = frac * sc.first_conjugate_radius
+            u = _apply_f_inverse(sc, r, x, r * (l_of_v(sc, vhat) @ x))
+            z = exp_map(sc, Covector(u, r * vhat)).z
+            assert _reach(s, q, r) == pytest.approx(np.linalg.norm(z), rel=1e-13)
+
+
+def test_closed_form_slope_matches_central_difference(reach_group):
+    sc = reach_group
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        s, q = reach_data(sc, rng.standard_normal(sc.rank))
+        for frac in RADIUS_FRACTIONS[:-2] + (0.999,):
+            r = frac * sc.first_conjugate_radius
+            h = 1e-5 * r * (1.0 - frac)
+            reach, slope = _reach(s, q, r, slope=True)
+            assert reach == _reach(s, q, r)
+            numeric = (_reach(s, q, r + h) - _reach(s, q, r - h)) / (2.0 * h)
+            assert slope == pytest.approx(numeric, rel=1e-6)
+
+
+@pytest.mark.parametrize("s", range(6, 12))
+def test_edge_round_trip(group, s):
+    # |v| = R (1 - 10^-s): F grows like 1/(R - r)^2 here, and the root lies
+    # within 10^-s R of the pole
+    rng = np.random.default_rng(100 + s)
+    u = rng.uniform(-1.5, 1.5, group.rank)
+    vhat = rng.standard_normal(group.corank)
+    lam = Covector(u, group.first_conjugate_radius * (1.0 - 10.0**-s) * vhat
+                   / np.linalg.norm(vhat))
+    target = exp_map(group, lam)
+    goal = target.as_vector()
+    residual = np.linalg.norm(exp_map(group, log_map(group, target)).as_vector() - goal)
+    assert residual <= _LOG_ENDPOINT * max(1.0, np.linalg.norm(goal))
 
 
 def test_round_trip_on_injectivity_domain(group):
