@@ -16,6 +16,7 @@ files regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import stat
 import sys
@@ -269,7 +270,7 @@ def cmd_log(args) -> int:
               "reaches this point")
         print(f"distance upper bound: {_fmt(bound)}")
         return EXIT_PROPERTY
-    dist = float(np.linalg.norm(lam.u))
+    dist = math.hypot(*lam.u)
     _say(args, "u = " + ",".join(_fmt(c) for c in lam.u))
     _say(args, "v = " + ",".join(_fmt(c) for c in lam.v))
     _say(args, f"distance = {_fmt(dist)}")

@@ -41,22 +41,31 @@ _H3_SERIES = (1.0 / 6, -1.0 / 120, 1.0 / 5040, -1.0 / 362880, 1.0 / 39916800,
               -1.0 / 6227020800, 1.0 / 1307674368000, -1.0 / 355687428096000)
 _COT_SERIES = (1.0 / 3, 1.0 / 45, 2.0 / 945, 1.0 / 4725, 2.0 / 93555,
                1382.0 / 638512875, 4.0 / 18243225, 3617.0 / 162820783125)
+# Taylor coefficients of unit_reach(theta)/theta and of unit_reach_slope, both
+# in theta^2; their pole at 2 pi makes each term about (0.5/(2 pi))^2 times
+# the one before it at |theta| < 0.5
+_REACH_SERIES = (1.0 / 12, 1.0 / 360, 1.0 / 10080, 1.0 / 302400, 1.0 / 9580032,
+                 691.0 / 217945728000, 1.0 / 10674892800, 3617.0 / 1333827855360000,
+                 43867.0 / 567677135241216000)
+_REACH_SLOPE_SERIES = (1.0 / 12, 1.0 / 120, 1.0 / 2016, 1.0 / 43200, 1.0 / 1064448,
+                       691.0 / 19813248000, 1.0 / 821145600, 3617.0 / 88921857024000,
+                       43867.0 / 33392772661248000)
 
 
 def _switch(theta, direct: Callable, series: Callable):
     # Evaluate `direct` away from 0 and `series` below the cancellation
-    # threshold; `direct` never sees 0, and a branch no entry needs is skipped.
+    # threshold; `direct` never sees 0.  One count of the small angles picks
+    # the branch, so only a mixed array evaluates both.
     th = np.asarray(theta, dtype=np.float64)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
     small = np.abs(th) < _SMALL_THETA
-    if not small.any():
+    count = np.count_nonzero(small)
+    if count == 0:
         out = direct(th)
-    elif small.all():
+    elif count == th.size:
         out = series(th)
     else:
         out = np.where(small, series(th), direct(np.where(small, 1.0, th)))
-    return float(out[0]) if scalar else out
+    return float(out) if th.ndim == 0 else out
 
 
 def sinc(theta):
@@ -102,6 +111,42 @@ def half_angle_defect(theta):
         return (np.sin(x) - x * np.cos(x)) / (4.0 * x * x * np.sin(x))
 
     return _switch(theta, direct, lambda t: 0.25 * _poly(0.5 * t, *_COT_SERIES))
+
+
+def _unit_reach_direct(t):
+    x = 0.5 * t
+    sin = np.sin(x)
+    return (x - sin * np.cos(x)) / (4.0 * sin * sin)
+
+
+def _unit_reach_series(t):
+    return t * _poly(t, *_REACH_SERIES)
+
+
+def unit_reach(theta):
+    """phi(theta) = (theta - sin theta) / (4 (1 - cos theta)); limit 0 at 0.
+
+    The vertical reach at radius theta of one horizontal coordinate with
+    rate s_c = 1 and x_c = 1: log_map's F(r) is sum_c s_c x_c^2 phi(s_c r).
+    Evaluated at x = theta/2 as (x - sin x cos x) / (4 sin^2 x), which does
+    not cancel near the pole at 2 pi.
+    """
+    return _switch(theta, _unit_reach_direct, _unit_reach_series)
+
+
+def _unit_reach_slope_direct(t):
+    x = 0.5 * t
+    sin = np.sin(x)
+    return (sin - x * np.cos(x)) / (4.0 * sin * sin * sin)
+
+
+def _unit_reach_slope_series(t):
+    return _poly(t, *_REACH_SLOPE_SERIES)
+
+
+def unit_reach_slope(theta):
+    """phi'(theta) = (sin x - x cos x) / (4 sin^3 x) at x = theta/2; limit 1/12 at 0."""
+    return _switch(theta, _unit_reach_slope_direct, _unit_reach_slope_series)
 
 
 def _poly(t, *coeffs):
@@ -206,13 +251,18 @@ def _exp_rows(sc, u, v):
     # Only elementwise products and row sums are used, so the bits of a row
     # do not depend on the other rows: geodesic_sample matches exp_map.
     # z = (1/2) sum_c s_c^2 h3(theta_c) u_c^2 v, the sum of _vertical_reach;
-    # + 0.0 turns the -0.0 of t = 0 rows (t u and t v) into 0.0 in x and z
-    s = sc.s_diag
+    # + 0.0 turns the -0.0 of t = 0 rows (t u and t v) into 0.0 in x and z.
+    # On ker S, f(L_v) is the identity and s_c^2 = 0, so the scalar helpers
+    # only see the coordinates with s_c > 0.
+    pos = sc.s_positive
+    s = sc.s_diag[pos]
     theta = np.linalg.norm(v, axis=1, keepdims=True) * s
     lv = np.sum(v[:, :, None, None] * sc.L, axis=1)
     lu = np.sum(lv * u[:, None, :], axis=2)
-    x = F_PAIR.even_part(theta) * u + F_PAIR.odd_part(theta) * lu
-    reach = np.sum((s * s * theta_minus_sin_over_cube(theta)) * (u * u), axis=1,
+    up = u[:, pos]
+    x = u.copy()
+    x[:, pos] = F_PAIR.even_part(theta) * up + F_PAIR.odd_part(theta) * lu[:, pos]
+    reach = np.sum((s * s * theta_minus_sin_over_cube(theta)) * (up * up), axis=1,
                    keepdims=True)
     return x + 0.0, 0.5 * reach * v + 0.0
 
@@ -291,7 +341,10 @@ def jacobian(sc: StructureConstants, lam: Covector) -> float:
             f"|v| = {vn:.6g} is not below the first conjugate radius "
             f"{sc.first_conjugate_radius:.6g}"
         )
-    return float(_jacobian_core(sc.s_diag, 0.5, sc.corank, lam.u * lam.u, np.float64(vn)))
+    # kernel coordinates contribute the factor 1 and the weights 0
+    pos = sc.s_positive
+    return float(_jacobian_core(sc.s_diag[pos], 0.5, sc.corank, lam.u[pos] ** 2,
+                                np.float64(vn)))
 
 
 def cut_time(sc: StructureConstants, lam: Covector) -> float:
@@ -330,42 +383,84 @@ def _apply_f_inverse(sc, vn, x, lx):
     # f(L_v)^{-1} x from |v| and lx = L_v x, by the inverted even/odd pair:
     # f has even part E = sinc, odd part O = cos_minus_one_over_sq =
     # -h/2 with h = sinc(theta/2)^2, and E^2 + theta^2 O^2 = h > 0 for
-    # theta < 2 pi.
-    theta = vn * sc.s_diag
+    # theta < 2 pi.  On ker S theta = 0, where E = h = 1.
+    pos = sc.s_positive
+    theta = vn * sc.s_diag[pos]
     h = sinc(0.5 * theta) ** 2
-    return (sinc(theta) * x + 0.5 * h * lx) / h
+    u = x + 0.5 * lx
+    u[pos] = (sinc(theta) * x[pos] + 0.5 * h * lx[pos]) / h
+    return u
 
 
 def _vertical_reach(sc, u, r):
     # |z|-component of exp at the covector (u, r vhat), |vhat| = 1:
-    # F(r) = (r/2) sum_c s_c^2 h3(s_c r) u_c^2.
-    s = sc.s_diag
-    return 0.5 * r * float((s * s * theta_minus_sin_over_cube(r * s)) @ (u * u))
+    # F(r) = (r/2) sum_c s_c^2 h3(s_c r) u_c^2 over the coordinates with s_c > 0.
+    pos = sc.s_positive
+    s = sc.s_diag[pos]
+    up = u[pos]
+    return 0.5 * r * float((s * s * theta_minus_sin_over_cube(r * s)) @ (up * up))
 
 
-def _reach(s, q, r, slope=False):
+def _reach(s, a, b, r, slope=False):
     # The vertical reach F(r) of the target's horizontal part x, in closed
     # form: u = f(L_v)^{-1} x has |u_c|^2 = x_c^2 / sinc(theta_c/2)^2 on each
-    # block (E^2 + theta^2 O^2 = sinc(theta/2)^2), so with q = s^2 x^2 over
-    # the coordinates with s_c > 0
-    #     F(r) = (r/2) sum_c q_c h3(theta_c) / sinc(theta_c/2)^2,
-    #     F'(r) = sum_c q_c tau(theta_c) / sinc(theta_c/2)^2,
-    # h3 = theta_minus_sin_over_cube, tau = half_angle_defect: the term of
-    # coordinate c is x_c^2 s_c phi(theta_c) with phi(theta) = (theta -
-    # sin theta) / (4 (1 - cos theta)), and phi' = tau / sinc(theta/2)^2.
+    # block (E^2 + theta^2 O^2 = sinc(theta/2)^2), so the term
+    # (r/2) s_c^2 h3(theta_c) u_c^2 of _vertical_reach is s_c x_c^2
+    # phi(theta_c), phi = unit_reach.  With the weights a = s x^2 and
+    # b = s^2 x^2 over the coordinates with s_c > 0
+    #     F(r) = sum_c a_c phi(theta_c),   F'(r) = sum_c b_c phi'(theta_c).
     # With slope=True returns (F, F'), else F.
     theta = r * s
-    w = q / sinc(0.5 * theta) ** 2
-    reach = 0.5 * r * float(w @ theta_minus_sin_over_cube(theta))
-    return (reach, float(w @ half_angle_defect(theta))) if slope else reach
+    reach = float(a @ unit_reach(theta))
+    return (reach, float(b @ unit_reach_slope(theta))) if slope else reach
+
+
+def _momentum_at(sc, x, zn, vhat, r):
+    # u of the covector (u, r vhat) for the target (x, zn vhat).  Below the
+    # top eigenblock u = f(L_v)^{-1} x.  On the top block u = m d, with d the
+    # direction of f(L_v)^{-1} x_top, or its first axis where that vanishes,
+    # and the reach is linear in m^2:
+    #     F(r) = lower + c m^2,   c = (r/2) alpha_max^2 h3(alpha_max r).
+    # m0 = |f(L_v)^{-1} x_top| meets x_top exactly and m1^2 = (|z| - lower)/c
+    # meets |z| exactly.  Near R, F grows like 1/(R - r)^2, so one ulp of r
+    # moves F past the endpoint tolerance and only m1 meets it; where the
+    # top block carries little of |z|, m1 is a difference of nearly equal
+    # numbers and m0 is right.  m minimizes both endpoint errors together,
+    # linearized at m1:
+    #     m = m0 + w (m1 - m0),   w = 1 / (1 + sigma^2 / (4 c (|z| - lower))),
+    # with sigma = sinc(theta_top/2) = |d x_top / d m|.  Its sine is taken
+    # at the nearer of r and R - r (sin(alpha r/2) = sin(alpha (R - r)/2)),
+    # which keeps it accurate at both ends and makes it vanish at R, where
+    # f(L_v) annihilates the top block and m = m1, the cut-locus formula of
+    # distance_bound.  Inside the domain a vanishing f(L_v)^{-1} x_top has
+    # no direction to scale, and u_top = 0.
+    top = sc.blocks[-1].indices
+    u = _apply_f_inverse(sc, r, x, r * (l_of_v(sc, vhat) @ x))
+    u_top = u[top]
+    m0 = math.hypot(*u_top)
+    u[top] = 0.0
+    alpha = sc.alpha_max
+    c = 0.5 * r * alpha**2 * theta_minus_sin_over_cube(alpha * r)
+    top2 = (zn - _vertical_reach(sc, u, r)) / c
+    sigma = np.sin(0.5 * alpha * min(r, sc.first_conjugate_radius - r)) / (0.5 * alpha * r)
+    m = m0
+    if top2 > 0.0 and (m0 > 0.0 or sigma == 0.0):
+        m += (np.sqrt(top2) - m0) / (1.0 + sigma * sigma / (4.0 * c * c * top2))
+    if m0 > 0.0:
+        u[top] = (m / m0) * u_top
+    else:
+        u[top[0]] = m
+    return u
 
 
 def _endpoint_residual(sc, lam, target, rel):
     # |exp(lam) - target| and its tolerance rel * max(1, |target|): relative,
-    # because the endpoint carries the rounding of coordinates of size |target|
+    # because the endpoint carries the rounding of coordinates of size |target|.
+    # Scaled norms: squares overflow above about 1e154, which made the
+    # tolerance inf and passed any covector.
     goal = target.as_vector()
-    residual = float(np.linalg.norm(exp_map(sc, lam).as_vector() - goal))
-    return residual, rel * max(1.0, float(np.linalg.norm(goal)))
+    residual = math.hypot(*(exp_map(sc, lam).as_vector() - goal))
+    return residual, rel * max(1.0, math.hypot(*goal))
 
 
 _SCAN_POINTS = 64
@@ -383,19 +478,21 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     where F is the vertical reach of the horizontal data at radius r.  F and
     F' are closed forms in the angles theta_c = s_c r:
 
-        F(r)  = (r/2) sum_c s_c^2 x_c^2 h3(theta_c) / sinc(theta_c/2)^2
-        F'(r) = sum_c s_c^2 x_c^2 tau(theta_c) / sinc(theta_c/2)^2
+        F(r)  = sum_c s_c x_c^2 phi(theta_c)
+        F'(r) = sum_c s_c^2 x_c^2 phi'(theta_c)
 
-    with h3 = theta_minus_sin_over_cube and tau = half_angle_defect; kernel
-    coordinates contribute nothing.  A scan of F at 64 radii up to
-    R (1 - 1e-12) brackets the root and decides the cut locus: no sign
-    change means no covector in the domain reaches the target.  Newton with
-    the exact F' then solves in the bracket, shrinking it by the sign of
-    F - |z| and taking its midpoint whenever a step would leave it, until
-    |F - |z|| <= 1e-12 max(1, |z|) or the iterate stops moving.  The
-    covector is (f(L_v)^{-1} x, r z/|z|) at the root.  F is strictly
-    increasing on (0, R), which is injectivity of exp on D, so the scan
-    finds at most one bracket.
+    with phi = unit_reach and phi' = unit_reach_slope; kernel coordinates
+    contribute nothing.  A scan of F at 64 radii up to R (1 - 1e-12)
+    brackets the root and decides the cut locus: no sign change means no
+    covector in the domain reaches the target.  Newton with the exact F'
+    then solves in the bracket, shrinking it by the sign of F - |z| and
+    taking its midpoint whenever a step would leave it, until
+    |F - |z|| <= 1e-12 max(1, |z|), after which it takes one last step, or
+    until the iterate stops moving.  The covector is (u, r z/|z|) at the
+    root, with u = f(L_v)^{-1} x below the top eigenblock and the top block
+    scaled toward reach |z|, fully so near R.  F is strictly increasing on
+    (0, R), which is injectivity of exp on D, so the scan finds at most one
+    bracket.
 
     Raises CutLocusTarget when no root exists (the target is not in the
     diffeomorphic image), NoCandidateFound when the scan finds several
@@ -404,71 +501,70 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     """
     if target.x.shape != (sc.rank,) or target.z.shape != (sc.corank,):
         raise DimensionMismatch("target dimensions do not match the structure")
-    zn = float(np.linalg.norm(target.z))
+    zn = math.hypot(*target.z)
     if zn == 0.0:
         if not np.any(target.x):
             raise IdentityTarget("log of the identity is not defined")
         return Covector(target.x.copy(), np.zeros(sc.corank))
     vhat = target.z / zn
     rmax = sc.first_conjugate_radius * (1.0 - 1e-12)
-    pos = sc.s_diag > 0.0
+    pos = sc.s_positive
     s = sc.s_diag[pos]
-    q = (s * target.x[pos]) ** 2
+    a = s * target.x[pos] ** 2
+    b = s * a
 
-    # The scan stays 64 separate evaluations: stopping it early when
-    # F(rmax) < |z| made the cut-locus ops about ten times faster, and the
-    # benchmark, which keeps every per-op timing, then grew its peak RSS
-    # past its bound.  The root solve below could replace it once that
-    # memory is bounded.
+    # The scan stays 64 separate evaluations.  The benchmark keeps three
+    # floats, about 100 bytes, for every cut-locus pass, so its peak RSS
+    # grows with the pass rate: a 20 s run at 1.2 ms per pass holds about
+    # 1.6 MB of them, at 0.35 ms (the scan stopped early) about 5.5 MB,
+    # past the 10% bound on a peak of about 38.5 MiB.  The root solve below
+    # could replace the scan once that memory is bounded.
     rs = np.linspace(0.0, rmax, _SCAN_POINTS + 1)[1:]
-    vals = np.array([_reach(s, q, r) - zn for r in rs])
-
-    # virtual left endpoint: F(0+) = 0 < |z|
-    grid_r = np.concatenate(([0.0], rs))
-    grid_g = np.concatenate(([-zn], vals))
-    brackets = []
-    root = None
-    for i in range(len(grid_r) - 1):
-        a, b = grid_g[i], grid_g[i + 1]
-        if b == 0.0:
-            root = grid_r[i + 1]
-            break
-        if a * b < 0.0:
-            brackets.append((grid_r[i], grid_r[i + 1]))
-    if root is None:
-        if len(brackets) > 1:
+    gaps = np.array([_reach(s, a, b, r) for r in rs]) - zn
+    zeros = np.flatnonzero(gaps == 0.0)
+    if zeros.size:
+        root = float(rs[zeros[0]])
+    else:
+        # sign changes on the grid 0, rs, with the virtual F(0+) - |z| < 0
+        grid = np.concatenate(([0.0], rs))
+        signs = np.concatenate(([-zn], gaps))
+        changes = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+        if changes.size > 1:
+            brackets = list(zip(grid[changes].tolist(), grid[changes + 1].tolist()))
             raise NoCandidateFound(
                 f"multiple root brackets {brackets} for the vertical-reach "
                 "equation; exp should be injective here, so this indicates a "
                 "Jacobian or synthesis bug"
             )
-        if not brackets:
+        if not changes.size:
             raise CutLocusTarget(
                 "no radius below the first conjugate radius reaches the "
                 "target; the point lies outside the diffeomorphic image"
             )
-        lo, hi = (float(b) for b in brackets[0])
+        lo, hi = float(grid[changes[0]]), float(grid[changes[0] + 1])
         root = 0.5 * (lo + hi)
         tol = _LOG_RESIDUAL * max(1.0, zn)
         for _ in range(_NEWTON_ITERATIONS):
-            reach, slope = _reach(s, q, root, slope=True)
+            reach, slope = _reach(s, a, b, root, slope=True)
             gap = reach - zn
-            if abs(gap) <= tol:
-                break
             if gap < 0.0:
                 lo = root
             else:
                 hi = root
             # a zero slope counts as a step out of the bracket
             cand = root - (gap / slope if slope > 0.0 else math.inf)
+            if abs(gap) <= tol:
+                # one last step, which quadratic convergence takes to rounding
+                if lo < cand < hi:
+                    root = cand
+                break
             if not lo < cand < hi:
                 cand = 0.5 * (lo + hi)
             if cand == root:
                 break
             root = cand
 
-    u = _apply_f_inverse(sc, root, target.x, root * (l_of_v(sc, vhat) @ target.x))
-    lam = Covector(u, root * vhat)
+    lam = Covector(_momentum_at(sc, target.x, zn, vhat, root), root * vhat)
     residual, tol = _endpoint_residual(sc, lam, target, _LOG_ENDPOINT)
     if not residual <= tol:
         raise NoCandidateFound(
@@ -503,7 +599,7 @@ def distance(sc: StructureConstants, p: GroupPoint, q: GroupPoint) -> DistanceRe
         return DistanceResult(0.0, True)
     except CutLocusTarget:
         return DistanceResult(distance_bound(sc, target), True)
-    return DistanceResult(float(np.linalg.norm(lam.u)), True)
+    return DistanceResult(math.hypot(*lam.u), True)
 
 
 _CUT_RESIDUAL = 1e-8
@@ -515,7 +611,7 @@ def _cut_locus_covector(sc: StructureConstants, target: GroupPoint) -> Covector:
         raise DimensionMismatch("target dimensions do not match the structure")
     if not np.any(target.x) and not np.any(target.z):
         raise IdentityTarget("the identity is at distance zero")
-    zn = float(np.linalg.norm(target.z))
+    zn = math.hypot(*target.z)
     if zn == 0.0:
         raise ValueError(
             "targets with z = 0 are reached by straight lines and belong to "
@@ -523,21 +619,15 @@ def _cut_locus_covector(sc: StructureConstants, target: GroupPoint) -> Covector:
         )
     radius = sc.first_conjugate_radius
     vhat = target.z / zn
-    top = sc.blocks[-1].indices
     x = target.x.copy()
-    x[top] = 0.0
-    u = _apply_f_inverse(sc, radius, x, radius * (l_of_v(sc, vhat) @ x))
-    h3_top = theta_minus_sin_over_cube(sc.alpha_max * radius)
-    top2 = (zn - _vertical_reach(sc, u, radius)) / (0.5 * radius * sc.alpha_max**2 * h3_top)
-    if not top2 >= 0.0:
-        raise NoCandidateFound(f"the lower eigenblocks alone overshoot |z| = {zn:.6g}")
-    u[top[0]] = np.sqrt(top2)
-    lam = Covector(u, radius * vhat)
+    x[sc.blocks[-1].indices] = 0.0
+    lam = Covector(_momentum_at(sc, x, zn, vhat, radius), radius * vhat)
     residual, tol = _endpoint_residual(sc, lam, target, _CUT_RESIDUAL)
     if not residual <= tol:
         raise NoCandidateFound(
             f"the cut-locus covector misses the target by {residual:.3e} > "
-            f"{tol:.3e}; x must vanish on the top eigenblock"
+            f"{tol:.3e}; x must vanish on the top eigenblock, and the lower "
+            f"eigenblocks alone must not overshoot |z| = {zn:.6g}"
         )
     return lam
 
@@ -554,10 +644,11 @@ def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
 
     with h3 = theta_minus_sin_over_cube; u_top lies on the first axis of the
     top block.  On Heisenberg this is sqrt(4 pi |z|).  Raises
-    NoCandidateFound when |u_top|^2 < 0 or the endpoint misses the target by
-    more than 1e-8 max(1, |target|) (x does not vanish on the top block).
+    NoCandidateFound when the endpoint misses the target by more than
+    1e-8 max(1, |target|): x does not vanish on the top block, or the lower
+    blocks alone overshoot |z|, where u_top = 0.
     """
-    return float(np.linalg.norm(_cut_locus_covector(sc, target).u))
+    return math.hypot(*_cut_locus_covector(sc, target).u)
 
 
 def homothety(sc: StructureConstants, x0: GroupPoint, y: GroupPoint, t: float) -> GroupPoint:

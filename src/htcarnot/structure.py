@@ -15,7 +15,7 @@ governs which (rank, corank, spectrum) combinations are realizable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -309,9 +309,21 @@ class StructureConstants:
     def dim(self) -> int:
         return self.spec.dim
 
-    @property
+    @cached_property
     def s_diag(self) -> np.ndarray:
         return np.diagonal(self.S)
+
+    @cached_property
+    def s_positive(self) -> slice | np.ndarray:
+        """Index of the horizontal coordinates with s_c > 0, off ker S.
+
+        A slice when they are contiguous, as build_structure lays them out,
+        so that indexing with it makes views; an index array otherwise.
+        """
+        idx = np.flatnonzero(self.s_diag > 0.0)
+        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+            return slice(int(idx[0]), int(idx[-1]) + 1)
+        return idx
 
     @property
     def alpha_max(self) -> float:

@@ -57,19 +57,20 @@ def seeded_covectors(sc, count, stream, vmax_frac=0.95, su_min=0.1):
 
 
 def reach_data(sc, x):
-    """The rates s_c and weights s_c^2 x_c^2 off ker S that log_map passes
-    to the closed-form vertical reach _reach."""
+    """The rates s_c and weights s_c x_c^2 and s_c^2 x_c^2 off ker S that
+    log_map passes to the closed-form vertical reach _reach."""
     pos = sc.s_diag > 0.0
-    return sc.s_diag[pos], (sc.s_diag[pos] * x[pos]) ** 2
+    s = sc.s_diag[pos]
+    a = s * x[pos] ** 2
+    return s, a, s * a
 
 
 def edge_log_targets():
     """Targets at the edge of the injectivity domain, as (id, group, point).
 
     The heisenberg3 endpoints of u = (1, 0.3) at |v| = R (1 - 10^-s) for
-    s = 8, 9, 11, which log_map reaches to tolerance, and the contact12
-    point (0.3, -0.2, 1e-9, 0; 5) just off the vertical axis, where its root
-    solve still misses and must say so with a library error.
+    s = 8, 9, 11, and the contact12 point (0.3, -0.2, 1e-9, 0; 5) just off
+    the vertical axis, where one ulp of the root moves |z| by about 4e-6.
     """
     heis = catalog_structure("heisenberg3")
     out = []

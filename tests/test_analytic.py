@@ -13,12 +13,22 @@ from htcarnot import (
     l_of_v,
 )
 from htcarnot.geodesics import (
+    _SINC_SERIES,
+    _SMALL_THETA,
     _apply_f_inverse,
+    _poly,
+    _switch,
+    _unit_reach_direct,
+    _unit_reach_series,
+    _unit_reach_slope_direct,
+    _unit_reach_slope_series,
     cos_minus_one_over_sq,
     half_angle_defect,
     one_minus_sinc,
     sinc,
     theta_minus_sin_over_cube,
+    unit_reach,
+    unit_reach_slope,
 )
 
 from conftest import seeded_covectors
@@ -113,6 +123,8 @@ def test_scalar_helpers_limits_at_zero():
     assert cos_minus_one_over_sq(0.0) == -0.5
     assert theta_minus_sin_over_cube(0.0) == pytest.approx(1.0 / 6.0, abs=1e-18)
     assert half_angle_defect(0.0) == pytest.approx(1.0 / 12.0, abs=1e-18)
+    assert unit_reach(0.0) == 0.0
+    assert unit_reach_slope(0.0) == 1.0 / 12.0
 
 
 def _taylor(theta, coeffs):
@@ -141,8 +153,10 @@ def test_series_branch_accuracy_across_switch(fn, coeffs):
 
 
 @pytest.mark.parametrize("fn", [sinc, one_minus_sinc, cos_minus_one_over_sq,
-                                theta_minus_sin_over_cube, half_angle_defect],
-                         ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau"])
+                                theta_minus_sin_over_cube, half_angle_defect,
+                                unit_reach, unit_reach_slope],
+                         ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau", "phi",
+                              "phi-slope"])
 def test_branch_switch_is_smooth_without_cancellation(fn):
     # crossing the series/direct threshold at 0.5 must leave no visible kink
     probe = np.linspace(0.5 - 2e-5, 0.5 + 2e-5, 41)
@@ -165,7 +179,7 @@ def _fraction_sin_cos(theta):
 
 
 def _reference(theta):
-    # the five helpers from their defining expressions, in exact arithmetic
+    # the seven helpers from their defining expressions, in exact arithmetic
     t = Fraction(theta)
     sin, cos = _fraction_sin_cos(theta)
     half_sin, half_cos = _fraction_sin_cos(theta / 2)
@@ -176,11 +190,14 @@ def _reference(theta):
         "one-minus-sinc": 1 - sin / t,
         "h3": (t - sin) / (t * t * t),
         "tau": (half_sin - x * half_cos) / (4 * x * x * half_sin),
+        "phi": (t - sin) / (4 * (1 - cos)),
+        "phi-slope": (half_sin - x * half_cos) / (4 * half_sin**3),
     }
 
 
 _HELPERS = {"sinc": sinc, "cosm1": cos_minus_one_over_sq, "one-minus-sinc": one_minus_sinc,
-            "h3": theta_minus_sin_over_cube, "tau": half_angle_defect}
+            "h3": theta_minus_sin_over_cube, "tau": half_angle_defect, "phi": unit_reach,
+            "phi-slope": unit_reach_slope}
 
 
 def test_scalar_helpers_against_exact_reference():
@@ -200,6 +217,28 @@ def test_scalar_helpers_against_exact_reference():
             err = abs(Fraction(got) - exact) / abs(exact)
             worst[name] = max(worst[name], float(err))
     assert max(worst.values()) <= 2e-13, worst
+
+
+@pytest.mark.parametrize("direct, series", [
+    (lambda t: np.sin(t) / t, lambda t: _poly(t, *_SINC_SERIES)),
+    (_unit_reach_direct, _unit_reach_series),
+    (_unit_reach_slope_direct, _unit_reach_slope_series),
+], ids=["sinc", "phi", "phi-slope"])
+@pytest.mark.parametrize("theta", [
+    np.float64(0.3), np.float64(1.3), np.array(0.0),
+    np.array([0.0, 0.1, -0.4, 0.49]),
+    np.array([0.5, 0.9, 2.0, 6.2]),
+    np.array([0.0, 0.0, 0.49, 0.5, 3.0, -0.7]),
+], ids=["0d-small", "0d-large", "0d-zero", "all-small", "all-large", "mixed"])
+def test_switch_matches_the_two_branch_form_bit_for_bit(direct, series, theta):
+    # the count of small angles only skips a branch that no entry needs, so
+    # every input gets the bits of the two-branch np.where form
+    th = np.asarray(theta, dtype=np.float64)
+    small = np.abs(th) < _SMALL_THETA
+    expected = np.where(small, series(th), direct(np.where(small, 1.0, th)))
+    got = _switch(theta, direct, series)
+    assert isinstance(got, float) == (th.ndim == 0)
+    assert np.asarray(got).tobytes() == expected.tobytes()
 
 
 def test_vector_and_scalar_agree():

@@ -345,6 +345,19 @@ def test_log_cut_locus_exits_two():
     )
 
 
+@pytest.mark.parametrize("x", ["0,0", "1e-200,0"], ids=["axis", "off-axis"])
+def test_log_tiny_targets_keep_their_scale(x):
+    # |z| = 1e-200 squares to 0 in an unscaled norm, which takes the first
+    # target for the identity (exit 3) and the second for a straight line at
+    # distance 0.0; x_1^2 underflows too, so both lie on the cut locus
+    res = run_cli("log", "--group", "heisenberg3", "--x", x, "--z", "1e-200")
+    assert res.returncode == 2
+    assert res.stdout == (
+        "cut locus target: no covector in the injectivity domain reaches this point\n"
+        "distance upper bound: 3.544907701811032e-100\n"
+    )
+
+
 @pytest.mark.parametrize("case", edge_log_targets(), ids=lambda case: case[0])
 def test_log_edge_targets_exit_zero_or_two(case):
     _, name, target = case

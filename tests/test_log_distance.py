@@ -1,5 +1,7 @@
 """Geodesic inversion: log_map, distance, distance_bound, homothety."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,25 +52,25 @@ def test_closed_form_reach_matches_exp(reach_group):
         x = rng.standard_normal(sc.rank)
         vhat = rng.standard_normal(sc.corank)
         vhat /= np.linalg.norm(vhat)
-        s, q = reach_data(sc, x)
+        data = reach_data(sc, x)
         for frac in RADIUS_FRACTIONS:
             r = frac * sc.first_conjugate_radius
             u = _apply_f_inverse(sc, r, x, r * (l_of_v(sc, vhat) @ x))
             z = exp_map(sc, Covector(u, r * vhat)).z
-            assert _reach(s, q, r) == pytest.approx(np.linalg.norm(z), rel=1e-13)
+            assert _reach(*data, r) == pytest.approx(np.linalg.norm(z), rel=1e-13)
 
 
 def test_closed_form_slope_matches_central_difference(reach_group):
     sc = reach_group
     rng = np.random.default_rng(43)
     for _ in range(5):
-        s, q = reach_data(sc, rng.standard_normal(sc.rank))
+        data = reach_data(sc, rng.standard_normal(sc.rank))
         for frac in RADIUS_FRACTIONS[:-2] + (0.999,):
             r = frac * sc.first_conjugate_radius
             h = 1e-5 * r * (1.0 - frac)
-            reach, slope = _reach(s, q, r, slope=True)
-            assert reach == _reach(s, q, r)
-            numeric = (_reach(s, q, r + h) - _reach(s, q, r - h)) / (2.0 * h)
+            reach, slope = _reach(*data, r, slope=True)
+            assert reach == _reach(*data, r)
+            numeric = (_reach(*data, r + h) - _reach(*data, r - h)) / (2.0 * h)
             assert slope == pytest.approx(numeric, rel=1e-6)
 
 
@@ -182,7 +184,7 @@ def test_distance_bound_closed_form_values(name, x, z, expected):
     got = distance_bound(sc, target)
     assert got == pytest.approx(expected, abs=1e-12)
     lam = _cut_locus_covector(sc, target)
-    assert float(np.linalg.norm(lam.u)) == got
+    assert math.hypot(*lam.u) == got
     assert np.linalg.norm(lam.v) == pytest.approx(sc.first_conjugate_radius, rel=1e-15)
     gap = exp_map(sc, lam).as_vector() - target.as_vector()
     assert np.linalg.norm(gap) <= 1e-12
@@ -204,7 +206,7 @@ def test_cut_locus_endpoint_check_is_relative(contact, z):
     target = GroupPoint([0.3, -0.2, 0.0, 0.0], [z])
     d = distance(contact, GroupPoint(np.zeros(4), np.zeros(1)), target)
     lam = _cut_locus_covector(contact, target)
-    assert d.exact and d.value == float(np.linalg.norm(lam.u))
+    assert d.exact and d.value == math.hypot(*lam.u)
     gap = exp_map(contact, lam).as_vector() - target.as_vector()
     assert np.linalg.norm(gap) <= 1e-14 * z
 
@@ -215,6 +217,19 @@ def test_log_endpoint_check_is_relative(heis):
     back = log_map(heis, exp_map(heis, lam))
     err = np.linalg.norm(back.as_vector() - lam.as_vector())
     assert err <= 1e-12 * np.linalg.norm(lam.as_vector())
+
+
+def test_log_never_returns_a_miss_on_huge_targets(heis):
+    # |target| = 1.4e155, whose square overflows: an unscaled norm made the
+    # endpoint tolerance inf and let a covector that misses by 1.4e155 pass
+    target = GroupPoint([1e155, 0.0], [1e155])
+    try:
+        with np.errstate(over="ignore"):
+            lam = log_map(heis, target)
+    except HTCarnotError:
+        return
+    gap = exp_map(heis, lam).as_vector() - target.as_vector()
+    assert math.hypot(*gap) <= _LOG_ENDPOINT * math.hypot(*target.as_vector())
 
 
 def test_round_trip_with_small_angle_and_large_u(heis):
@@ -241,6 +256,52 @@ def test_edge_targets_reach_tolerance_or_raise_library_error(case):
     goal = target.as_vector()
     residual = np.linalg.norm(exp_map(sc, lam).as_vector() - goal)
     assert residual <= _LOG_ENDPOINT * max(1.0, np.linalg.norm(goal))
+
+
+# x_top = eps just off the vertical axis of contact12, from 1e-3 to 1e-16
+NEAR_AXIS = tuple(10.0 ** -np.arange(3, 17))
+
+
+@pytest.mark.parametrize("eps", NEAR_AXIS)
+def test_exp_log_near_the_vertical_axis(contact, eps):
+    # the root lies within about eps of R, where one ulp of r moves F by
+    # more than the endpoint tolerance (u = f(L_v)^-1 x misses by 4.7e-6 at
+    # eps = 1e-9); below about 1e-12 the root lies past the scan, the target
+    # counts as cut locus, and that covector must meet the tolerance
+    target = GroupPoint([0.3, -0.2, eps, 0.0], [5.0])
+    try:
+        lam = log_map(contact, target)
+    except CutLocusTarget:
+        lam = _cut_locus_covector(contact, target)
+    goal = target.as_vector()
+    residual = np.linalg.norm(exp_map(contact, lam).as_vector() - goal)
+    assert residual <= _LOG_ENDPOINT * max(1.0, np.linalg.norm(goal))
+
+
+@pytest.mark.parametrize("spec, x, z", [
+    (GroupSpec(rank=4, corank=1, spectrum=((1.0, 1), (2.0, 1))), [0.3, -0.2, 0.0, 0.0], 5.0),
+    (GroupSpec(rank=6, corank=1, spectrum=((0.5, 1), (1.0, 1), (2.0, 1))),
+     [0.3, -0.2, 0.5, 0.1, 0.0, 0.0], 3.0),
+], ids=["contact12", "three-block"])
+def test_distance_is_continuous_onto_the_vertical_axis(spec, x, z):
+    # d(eps) - d(0) is about -eps (a concave kink at the cut locus) on both
+    # sides of the scan's edge, where log hands over to the cut-locus formula
+    sc = build_structure(spec)
+    origin = GroupPoint(np.zeros(sc.rank), np.zeros(1))
+    on_axis = distance_bound(sc, GroupPoint(x, [z]))
+    for eps in NEAR_AXIS:
+        off = np.array(x)
+        off[sc.blocks[-1].indices[0]] = eps
+        d = distance(sc, origin, GroupPoint(off, [z])).value
+        assert abs(d - on_axis) <= 2.0 * eps
+
+
+def test_newton_takes_its_last_step(heis):
+    # stopping at |F - |z|| <= 1e-12 max(1, |z|) left 1.5e-12 here
+    target = GroupPoint([1.3, -0.7], [1.9])
+    lam = log_map(heis, target)
+    residual = np.linalg.norm(exp_map(heis, lam).as_vector() - target.as_vector())
+    assert residual <= 1e-13
 
 
 def test_distance_bound_rejects_reachable_targets(heis):

@@ -65,8 +65,8 @@ def test_reach_is_strictly_increasing(data):
     # domain, and it is why the scan can find at most one root bracket
     sc = data.draw(structures)
     x = data.draw(horizontal_parts(sc))
-    s, q = reach_data(sc, x)
-    reach = np.array([_reach(s, q, r) for r in FRACTIONS * sc.first_conjugate_radius])
+    data = reach_data(sc, x)
+    reach = np.array([_reach(*data, r) for r in FRACTIONS * sc.first_conjugate_radius])
     assert np.all(np.diff(reach) > 0.0)
 
 
