@@ -55,7 +55,9 @@ _REACH_SLOPE_SERIES = (1.0 / 12, 1.0 / 120, 1.0 / 2016, 1.0 / 43200, 1.0 / 10644
 def _switch(theta, direct: Callable, series: Callable):
     # Evaluate `direct` away from 0 and `series` below the cancellation
     # threshold; `direct` never sees 0.  One count of the small angles picks
-    # the branch, so only a mixed array evaluates both.
+    # the branch, so only a mixed array evaluates both.  For an array theta
+    # both may return a tuple of arrays, which comes back stacked on a new
+    # first axis.
     th = np.asarray(theta, dtype=np.float64)
     small = np.abs(th) < _SMALL_THETA
     count = np.count_nonzero(small)
@@ -98,19 +100,6 @@ def theta_minus_sin_over_cube(theta):
         lambda t: (t - np.sin(t)) / (t * t * t),
         lambda t: _poly(t, *_H3_SERIES),
     )
-
-
-def half_angle_defect(theta):
-    """(sin(x) - x cos(x)) / (4 x^2 sin(x)) at x = theta/2; limit 1/12 at 0.
-
-    Equals (1 - x cot x)/(4 x^2).  Finite and positive for theta in [0, 2pi).
-    """
-
-    def direct(t):
-        x = 0.5 * t
-        return (np.sin(x) - x * np.cos(x)) / (4.0 * x * x * np.sin(x))
-
-    return _switch(theta, direct, lambda t: 0.25 * _poly(0.5 * t, *_COT_SERIES))
 
 
 def _unit_reach_direct(t):
@@ -298,18 +287,33 @@ def hamiltonian(lam: Covector) -> float:
     return 0.5 * float(lam.u @ lam.u)
 
 
+def _half_angle_direct(t):
+    # sinc(t/2), h3(t) and tau(t) from one sin/cos pair at x = t/2, with
+    # t - sin t = 2 (x - sin x cos x)
+    x = 0.5 * t
+    sin, cos = np.sin(x), np.cos(x)
+    return sin / x, (x - sin * cos) / (4.0 * x * x * x), (sin - x * cos) / (4.0 * x * x * sin)
+
+
+def _half_angle_series(t):
+    x = 0.5 * t
+    return _poly(x, *_SINC_SERIES), _poly(t, *_H3_SERIES), 0.25 * _poly(x, *_COT_SERIES)
+
+
 def _jacobian_factors(alphas, pair_mults, theta):
     """The factors of J at block angles theta (..., d), theta_j = alpha_j |v|.
 
     Returns pref = prod_j sinc(theta_j/2)^(2 m_j) of shape (...,) and the
     per-block weights a_j = (1/2) alpha_j^2 h3(theta_j) and
     b_j = alpha_j^2 tau(theta_j) of shape (..., d), with
-    h3 = theta_minus_sin_over_cube and tau = half_angle_defect.
+    h3 = theta_minus_sin_over_cube and tau(theta) = (sin x - x cos x) /
+    (4 x^2 sin x) at x = theta/2, limit 1/12 at 0, finite and positive on
+    [0, 2 pi).  The three scalar factors come from one sin/cos pair at
+    theta/2, under one branch decision.
     """
-    pref = np.prod(sinc(0.5 * theta) ** (2 * pair_mults), axis=-1)
-    a = 0.5 * alphas**2 * theta_minus_sin_over_cube(theta)
-    b = alphas**2 * half_angle_defect(theta)
-    return pref, a, b
+    sinc_half, h3, tau = _switch(theta, _half_angle_direct, _half_angle_series)
+    pref = np.prod(sinc_half ** (2 * pair_mults), axis=-1)
+    return pref, 0.5 * alphas**2 * h3, alphas**2 * tau
 
 
 def _jacobian_core(alphas, pair_mults, corank, q, vnorm):
@@ -487,8 +491,8 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     covector in the domain reaches the target.  Newton with the exact F'
     then solves in the bracket, shrinking it by the sign of F - |z| and
     taking its midpoint whenever a step would leave it, until
-    |F - |z|| <= 1e-12 max(1, |z|), after which it takes one last step, or
-    until the iterate stops moving.  The covector is (u, r z/|z|) at the
+    |F - |z|| <= 1e-12 |z|, after which it takes one last step, or until
+    the iterate stops moving.  The covector is (u, r z/|z|) at the
     root, with u = f(L_v)^{-1} x below the top eigenblock and the top block
     scaled toward reach |z|, fully so near R.  F is strictly increasing on
     (0, R), which is injectivity of exp on D, so the scan finds at most one
@@ -525,10 +529,12 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     if zeros.size:
         root = float(rs[zeros[0]])
     else:
-        # sign changes on the grid 0, rs, with the virtual F(0+) - |z| < 0
+        # sign changes on the grid 0, rs, with the virtual F(0+) - |z| < 0;
+        # sign bits, because the product of two gaps below about 1e-154
+        # underflows to 0
         grid = np.concatenate(([0.0], rs))
-        signs = np.concatenate(([-zn], gaps))
-        changes = np.flatnonzero(signs[:-1] * signs[1:] < 0.0)
+        negative = np.signbit(np.concatenate(([-zn], gaps)))
+        changes = np.flatnonzero(negative[:-1] != negative[1:])
         if changes.size > 1:
             brackets = list(zip(grid[changes].tolist(), grid[changes + 1].tolist()))
             raise NoCandidateFound(
@@ -543,7 +549,7 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
             )
         lo, hi = float(grid[changes[0]]), float(grid[changes[0] + 1])
         root = 0.5 * (lo + hi)
-        tol = _LOG_RESIDUAL * max(1.0, zn)
+        tol = _LOG_RESIDUAL * zn
         for _ in range(_NEWTON_ITERATIONS):
             reach, slope = _reach(s, a, b, root, slope=True)
             gap = reach - zn

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,11 +178,14 @@ def check_jacobian_contraction(sc: StructureConstants, samples: int, t_grid,
     # default box lies inside the injectivity domain, so no row leaves it
     scales = np.array([1.0, *ts])[:, None]
     t_pow = np.array([t ** (2 * p) for t in ts])
+    # kernel coordinates contribute the factor 1 and the weights 0, and their
+    # zero angles would force both branches of the scalar helpers
+    pos = sc.s_positive
     min_margin = math.inf
     for rows in _row_batches(samples, scales.size * k):
-        u = scales * draws[rows, None, :k]
+        u = scales * draws[rows, None, pos]
         v = scales * draws[rows, None, k:]
-        jac = _jacobian_core(sc.s_diag, 0.5, p, u * u, np.linalg.norm(v, axis=-1))
+        jac = _jacobian_core(sc.s_diag[pos], 0.5, p, u * u, np.linalg.norm(v, axis=-1))
         margins = jac[:, 1:] / (t_pow * jac[:, :1]) - 1.0
         if margins.size:
             min_margin = min(min_margin, float(margins.min()))
@@ -269,34 +273,83 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _u_moment_table(sc, u_lo, u_hi, quad: int, max_degree: int):
-    """Integrals of products of squared block norms over the u-box.
+@lru_cache(maxsize=None)
+def _deltas(corank: int, blocks: int) -> tuple[tuple[int, ...], ...]:
+    # the exponents delta = gamma + e_i, |gamma| = p - 1, in order of
+    # lexicographic gamma, then i, each delta where it first occurs: the one
+    # order of the coefficients of _jacobian_expansion and of the u-moments
+    return tuple(dict.fromkeys(
+        tuple(g + (1 if j == i else 0) for j, g in enumerate(gamma))
+        for gamma in _compositions(corank - 1, blocks) for i in range(blocks)))
 
-    Returns (kernel_factor, table) where table[block][d] integrates
-    |u_block|^(2d) over that block's coordinates with the tensor
-    Gauss-Legendre rule; exact since quad >= 4 >= max_degree + 1.
+
+@lru_cache(maxsize=None)
+def _binomial_terms(rows: int, cols: int):
+    # The terms of out[d, j] = sum_{e <= d, i <= j} C(d, e) C(j, i) a[e, i]
+    # b[d - e, j - i] over rows x cols tables: flat indices into a, b and
+    # out, and the coefficients.  The terms of each output run in order of e,
+    # then i, so that np.bincount adds them as a left-to-right sum.
+    terms = [(e * cols + i, (d - e) * cols + (j - i), d * cols + j,
+              math.comb(d, e) * math.comb(j, i))
+             for d in range(rows) for e in range(d + 1)
+             for j in range(cols) for i in range(j + 1)]
+    cols = [np.array(col, dtype=dtype)
+            for col, dtype in zip(zip(*terms), (np.intp, np.intp, np.intp, np.float64))]
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
+def _binomial_product(a, b):
+    # out[d, j] = sum_{e, i} C(d, e) C(j, i) a[e, i] b[d - e, j - i], each
+    # term multiplied as (C a) b: the moment table of a sum of two
+    # independent variables from the tables of each
+    a_idx, b_idx, out_idx, coef = _binomial_terms(*a.shape)
+    terms = coef * a.ravel()[a_idx] * b.ravel()[b_idx]
+    return np.bincount(out_idx, weights=terms, minlength=a.size).reshape(a.shape)
+
+
+def _u_moment_table(sc, u_lo, u_hi, quad: int, degree: int = 0, interval=None):
+    """Tensor Gauss-Legendre u-moments M[delta, j] = sum_u w q^delta y^j.
+
+    delta runs over _deltas (the exponents of _jacobian_expansion), q holds
+    the squared block norms of u and, for interval = (m, h), y = sum_c
+    (u_c^2 - m_c) / h; degree = 0 needs no interval.  Built per coordinate
+    from the power sums sum_x w x^(2e) s^i, s = (x^2 - m_c) / h: a block's
+    table of q_b^d y_b^j is the binomial product of its coordinates' tables,
+    and M the binomial product of the block rows delta_b and of the kernel
+    coordinates' y-moments.  The column j = 0 integrates q^delta exactly
+    (quad >= 4 >= p + 1).  Identical sums to the full tensor rule,
+    reorganized.
     """
-    power_sums = []
-    for c in range(u_lo.size):
-        x, w = mapped_rule(u_lo[c], u_hi[c], quad)
-        power_sums.append([float(pairwise_sum(w * x ** (2 * e)))
-                           for e in range(max_degree + 1)])
-    kernel_factor = 1.0
-    for c in sc.kernel_indices:
-        kernel_factor *= power_sums[c][0]
-    table = []
-    for b in sc.blocks:
-        dp = [1.0] + [0.0] * max_degree
-        for c in b.indices:
-            nxt = [0.0] * (max_degree + 1)
-            for d in range(max_degree + 1):
-                nxt[d] = sum(
-                    math.comb(d, e) * power_sums[c][e] * dp[d - e]
-                    for e in range(d + 1)
-                )
-            dp = nxt
-        table.append(dp)
-    return kernel_factor, table
+    p = sc.corank
+    rules = [mapped_rule(lo, hi, quad) for lo, hi in zip(u_lo, u_hi)]
+    x = np.array([r[0] for r in rules])
+    w = np.array([r[1] for r in rules])
+    terms = np.stack([w * x ** (2 * e) for e in range(p + 1)], axis=1)[:, :, None]
+    if degree:
+        m, h = interval
+        powers = np.repeat(((x * x - m[:, None]) / h)[:, None], degree + 1, axis=1)
+        powers[:, 0] = 1.0
+        terms = terms * np.cumprod(powers, axis=1)[:, None]
+    sums = pairwise_sums(terms)  # [c, e, i]
+
+    def table(indices, rows):
+        acc = np.zeros((rows, degree + 1))
+        acc[0, 0] = 1.0
+        for c in indices:
+            acc = _binomial_product(sums[c, :rows], acc)
+        return acc
+
+    kernel = table(sc.kernel_indices, 1)
+    blocks = [table(b.indices, p + 1) for b in sc.blocks]
+    moments = []
+    for delta in _deltas(p, len(sc.blocks)):
+        row = kernel
+        for block, d in zip(blocks, delta):
+            row = _binomial_product(row, block[d:d + 1])
+        moments.append(row[0])
+    return np.array(moments)
 
 
 def _row_batches(count: int, width: int):
@@ -311,59 +364,78 @@ def _jacobian_expansion(sc, theta):
 
     J = pref * (sum_j a_j q_j)^(p-1) * (sum_i b_i q_i) expands into
     pref * sum_delta c_delta q^delta over |delta| = p, where q holds the
-    squared block norms of u.  Returns pref and {delta: c_delta}, with delta
-    = gamma + e_i in order of lexicographic gamma, then i.
+    squared block norms of u.  Returns pref and the list of c_delta in the
+    order of _deltas.  c_delta sums multinom(gamma) a^gamma b_i over the i
+    with gamma = delta - e_i >= 0, in order of i.
     """
     p = sc.corank
     pref, a, b = _jacobian_factors(sc.block_alphas(), sc.block_pairs(), theta)
     d = a.shape[-1]
-    coeffs = {}
-    for gamma in _compositions(p - 1, d):
-        multinom = math.factorial(p - 1) // math.prod(map(math.factorial, gamma))
-        agam = multinom * np.prod(a**np.array(gamma), axis=-1)
-        for i in range(d):
-            delta = tuple(g + (1 if j == i else 0) for j, g in enumerate(gamma))
-            term = agam * b[..., i]
-            coeffs[delta] = coeffs[delta] + term if delta in coeffs else term
+    agams = {}
+    coeffs = []
+    for delta in _deltas(p, d):
+        c = None
+        for i in [i for i in range(d) if delta[i]]:
+            gamma = delta[:i] + (delta[i] - 1,) + delta[i + 1:]
+            if gamma not in agams:
+                multinom = math.factorial(p - 1) // math.prod(map(math.factorial, gamma))
+                agams[gamma] = multinom * np.prod(a**np.array(gamma), axis=-1)
+            term = agams[gamma] * b[..., i]
+            c = term if c is None else c + term
+        coeffs.append(c)
     return pref, coeffs
 
 
-def _box_jacobian_integral(sc, box: CovectorBox, scales, quad: int) -> list[float]:
+def _box_jacobian_integral(sc, box: CovectorBox, scales, quad: int, moments,
+                          v_side: bool = False):
     """Integrals of J(s u, s v) over the box for each scale s, by factored
     tensor Gauss-Legendre.
 
     The integrand is polynomial in u (degree 2p), so the u-integral reduces
-    to exact moments of the squared block norms; only the v-grid (quad^p
-    nodes) is enumerated, once for all scales.  Identical quadrature sum to
-    the full tensor rule, reorganized.
+    to the exact moments sum_u w q^delta, one per delta of _deltas; only the
+    v-grid (quad^p nodes) is enumerated, once for all scales.  Identical
+    quadrature sum to the full tensor rule, reorganized.  Returns the
+    integrals and, with v_side, the v-side V_delta = sum_v w pref c_delta of
+    the K < 0 distortion average from the row of scales[0], which must then
+    be 1 (else None).
     """
-    u_lo, u_hi, v_lo, v_hi = box.split(sc.rank)
     p = sc.corank
-    kernel_factor, table = _u_moment_table(sc, u_lo, u_hi, quad, p)
-    pts, wts = tensor_grid(v_lo, v_hi, quad)
+    pts, wts = tensor_grid(box.lower[sc.rank:], box.upper[sc.rank:], quad)
     rays = np.multiply.outer(np.linalg.norm(pts, axis=1), sc.block_alphas())
     scale_col = np.array(scales, dtype=np.float64)
     totals = []
+    v_sums = None
     for rows in _row_batches(len(scales), len(wts)):
         pref, coeffs = _jacobian_expansion(sc, np.multiply.outer(scale_col[rows], rays))
         vals = np.zeros_like(pref)
-        for delta, c in coeffs.items():
-            moment = math.prod((table[j][dj] for j, dj in enumerate(delta)),
-                               start=kernel_factor)
+        for c, moment in zip(coeffs, moments):
             vals += c * moment
         totals.extend(pairwise_sums(wts * pref * vals).tolist())
-    return [s ** (2 * p) * total for s, total in zip(scales, totals)]
+        if v_side and v_sums is None:
+            weights = wts * pref[0]
+            v_sums = np.array([pairwise_sum(weights * c[0]) for c in coeffs])
+    return [s ** (2 * p) * total for s, total in zip(scales, totals)], v_sums
 
 
-def _contraction_ratios(sc, box: CovectorBox, ts, quad: int) -> list[float]:
-    # t^n * integral J(t u, t v) / integral J(u, v) for every t of ts, with
-    # one box check and one denominator
+def _require_quadrature(sc, box: CovectorBox, quad: int):
     if quad < 4:
         raise ValueError("need at least 4 quadrature points per dimension")
     require_node_budget(quad, sc.corank)
     _require_box_in_domain(sc, box)
-    den, *nums = _box_jacobian_integral(sc, box, [1.0, *ts], quad)
-    return [t**sc.dim * num / den for t, num in zip(ts, nums)]
+
+
+def _ratios(sc, box: CovectorBox, ts, quad: int, moments, v_side: bool = False):
+    # t^n * integral J(t u, t v) / integral J(u, v) for every t of ts, with
+    # one denominator, and the v-side sums of _box_jacobian_integral
+    (den, *nums), v_sums = _box_jacobian_integral(sc, box, [1.0, *ts], quad, moments,
+                                                  v_side)
+    return [t**sc.dim * num / den for t, num in zip(ts, nums)], v_sums
+
+
+def _contraction_ratios(sc, box: CovectorBox, ts, quad: int) -> list[float]:
+    _require_quadrature(sc, box, quad)
+    u_lo, u_hi = box.lower[:sc.rank], box.upper[:sc.rank]
+    return _ratios(sc, box, ts, quad, _u_moment_table(sc, u_lo, u_hi, quad)[:, 0])[0]
 
 
 def contraction_ratio(sc: StructureConstants, box: CovectorBox, t: float,
@@ -481,30 +553,119 @@ class ContractionReport:
         return all(self.verdicts)
 
 
-def _distortion_bounds(sc, box, K, N, ts, quad):
-    # J-weighted box average of the distortion coefficient D_t(|u|), per t.
-    # J = pref(|v|) sum_delta c_delta(|v|) q(u)^delta and D_t depends on u
-    # only, so the tensor Gauss-Legendre sum factors into
-    #   V_delta = sum_v w pref c_delta           over quad^p nodes,
-    #   U_delta(t) = sum_u w q^delta D_t(|u|)    over quad^k nodes,
+# The distortion coefficient D_t(sqrt(rho)), rho = |u|^2, is analytic in
+# rho; its nearest singularity is the pole or branch point at
+# rho = -pi^2 (N-1)/(-K), a zero of sinh(sqrt(-K rho/(N-1))).  Its distance
+# from the box's rho-interval [m - h, m + h], relative to h, sets how fast
+# the Chebyshev coefficients decay, and so whether the interpolant or the
+# u-grid runs.  D_t is interpolated at _CHEB_POINTS Chebyshev points of
+# y = (rho - m)/h and truncated at the lowest degree, at most
+# _CHEB_MAX_DEGREE, whose error bound, twice the dropped Chebyshev tail over
+# the smallest D_t on the interval (at rho = m + h, since D_t decreases in
+# rho), is at most _CHEB_TOL.
+_CHEB_POINTS = 24
+_CHEB_MAX_DEGREE = 20
+_CHEB_TOL = 1e-13
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_basis():
+    # the nodes y_i = cos(pi (i + 1/2) / n); the rows that map values at the
+    # nodes to Chebyshev coefficients; and power[m, j], the coefficient of
+    # y^j in T_m, from T_(m+1) = 2 y T_m - T_(m-1)
+    n = _CHEB_POINTS
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    rows = (2.0 / n) * np.cos(np.multiply.outer(np.arange(n), angles))
+    rows[0] *= 0.5
+    power = np.zeros((n, n))
+    power[0, 0] = power[1, 1] = 1.0
+    for m in range(2, n):
+        power[m, 1:] = 2.0 * power[m - 1, :-1]
+        power[m] -= power[m - 2]
+    basis = (np.cos(angles), rows, power)
+    for arr in basis:
+        arr.flags.writeable = False
+    return basis
+
+
+def _distortion_fit(u_lo, u_hi, K, N, ts):
+    """Power coefficients in y of the truncated interpolants of D_t, per t.
+
+    Returns (coefficients (len(ts), degree + 1), (m_c, h)), with m_c the
+    midpoint of the range of u_c^2 on the box and h half the width of the
+    range of rho, so that y = sum_c (u_c^2 - m_c) / h; or None when some t
+    misses the error bound, and the u-grid must be summed instead.
+    """
+    sq_lo, sq_hi = u_lo * u_lo, u_hi * u_hi
+    top = np.maximum(sq_lo, sq_hi)
+    bottom = np.where((u_lo <= 0.0) & (u_hi >= 0.0), 0.0, np.minimum(sq_lo, sq_hi))
+    centers = 0.5 * (top + bottom)
+    h = 0.5 * float(np.sum(top - bottom))
+    nodes, rows, power = _chebyshev_basis()
+    rho = np.append(float(np.sum(centers)) + h * nodes, float(np.sum(top)))
+    if not (h > 0.0 and np.all(np.isfinite(rho))):
+        return None
+    t_col = np.array(ts)[:, None]
+    a = math.sqrt(-K) / math.sqrt(N - 1.0) * np.sqrt(rho)
+    values = t_col * _sinh_ratio(t_col, a) ** (N - 1.0)
+    least = values[:, -1]
+    cheb = pairwise_sums(values[:, None, :-1] * rows)
+    # tails[:, d] = sum_{j > d} |c_j|, for d up to _CHEB_MAX_DEGREE
+    tails = np.cumsum(np.abs(cheb[:, :0:-1]), axis=1)[:, ::-1][:, :_CHEB_MAX_DEGREE + 1]
+    good = 2.0 * tails <= _CHEB_TOL * least[:, None]
+    if not (np.all(least > 0.0) and np.all(good[:, -1])):
+        return None
+    degrees = np.argmax(good, axis=1)
+    top_degree = int(degrees.max())
+    kept = np.where(np.arange(top_degree + 1) <= degrees[:, None], cheb[:, :top_degree + 1], 0.0)
+    coefficients = pairwise_sums(kept[:, None, :] * power[:top_degree + 1, :top_degree + 1].T)
+    return coefficients, (centers, h)
+
+
+def _grid_distortion_bounds(sc, u_lo, u_hi, K, N, ts, quad, v_side):
+    # The distortion average summed over the quad^k u-grid:
+    #   U_delta(t) = sum_u w q^delta D_t(|u|)
     # and bound_t = sum V U(t) / sum V U(1), where D_1 = 1.
-    u_lo, u_hi, v_lo, v_hi = box.split(sc.rank)
-    v_pts, v_wts = tensor_grid(v_lo, v_hi, quad)
-    pref, coeffs = _jacobian_expansion(
-        sc, np.multiply.outer(np.linalg.norm(v_pts, axis=1), sc.block_alphas()))
-    v_side = np.array([pairwise_sum(v_wts * pref * c) for c in coeffs.values()])
     u_pts, u_wts = tensor_grid(u_lo, u_hi, quad)
     q = np.stack([np.sum(u_pts[:, b.indices] ** 2, axis=1) for b in sc.blocks], axis=-1)
-    monomials = [u_wts * np.prod(q ** np.array(delta), axis=-1) for delta in coeffs]
-    den = pairwise_sum(v_side * [pairwise_sum(m) for m in monomials])
+    monomials = np.stack([u_wts * np.prod(q ** np.array(delta), axis=-1)
+                          for delta in _deltas(sc.corank, len(sc.blocks))])
+    den = pairwise_sum(v_side * pairwise_sums(monomials))
     a = math.sqrt(-K) / math.sqrt(N - 1.0) * np.linalg.norm(u_pts, axis=1)
     t_col = np.array(ts)[:, None]
     bounds = []
-    for rows in _row_batches(len(ts), a.size):
+    for rows in _row_batches(len(ts), monomials.size):
         weight = t_col[rows] * _sinh_ratio(t_col[rows], a) ** (N - 1.0)
-        u_side = np.stack([pairwise_sums(weight * m) for m in monomials], axis=-1)
+        u_side = pairwise_sums(weight[:, None, :] * monomials)
         bounds.extend((pairwise_sums(u_side * v_side) / den).tolist())
     return bounds
+
+
+def _curved_report(sc, box, K, N, ts, quad):
+    # Ratios and the J-weighted box averages of the distortion coefficient
+    # D_t(|u|), per t.  J = pref(|v|) sum_delta c_delta(|v|) q(u)^delta and
+    # D_t depends on u only, so the tensor Gauss-Legendre sum factors into
+    #   V_delta = sum_v w pref c_delta        over the ratios' quad^p nodes,
+    #   U_delta(t) = sum_u w q^delta D_t(|u|)
+    # and bound_t = sum V U(t) / sum V U(1).  With D_t = sum_j a_j y^j to
+    # within _CHEB_TOL, U_delta(t) = sum_j a_j M[delta, j] from the moment
+    # table; elsewhere the u-grid (quad^k nodes) is summed.
+    _require_quadrature(sc, box, quad)
+    u_lo, u_hi = box.lower[:sc.rank], box.upper[:sc.rank]
+    fit = _distortion_fit(u_lo, u_hi, K, N, ts)
+    if fit is None:
+        require_node_budget(quad, sc.rank)
+        moments = _u_moment_table(sc, u_lo, u_hi, quad)
+    else:
+        coefficients, interval = fit
+        moments = _u_moment_table(sc, u_lo, u_hi, quad, coefficients.shape[1] - 1,
+                                  interval)
+    ratios, v_side = _ratios(sc, box, ts, quad, moments[:, 0], v_side=True)
+    if fit is None:
+        return ratios, _grid_distortion_bounds(sc, u_lo, u_hi, K, N, ts, quad, v_side)
+    den = pairwise_sum(v_side * moments[:, 0])
+    u_side = pairwise_sums(coefficients[:, None, :] * moments)
+    return ratios, (pairwise_sums(u_side * v_side) / den).tolist()
 
 
 def _require_curvature(K, N):
@@ -525,26 +686,28 @@ def mcp_report(sc: StructureConstants, K: float, N: float, box: CovectorBox,
     The left side is the quadrature contraction ratio; the right side is the
     model bound: exactly t^N for K = 0, and for K < 0 the J-weighted box
     average of the distortion coefficient at distance |u|.  A t passes when
-    ratio >= bound * (1 - 1e-9).  K and N must be finite.  Each grid holds
-    at most NODE_BUDGET nodes: quad^p for the ratios and, for K < 0, quad^k
-    more.  ``workers`` is accepted for compatibility and has no effect.
+    ratio >= bound * (1 - 1e-9).  K and N must be finite.  For K < 0 the
+    average is a Chebyshev interpolant of the coefficient in |u|^2, summed
+    exactly through per-coordinate moments, wherever its error bound is at
+    most 1e-13 relative; elsewhere it is summed over the quad^k u-grid.
+    Each grid holds at most NODE_BUDGET nodes: quad^p for the ratios and,
+    where it is built, quad^k for the u-grid.  ``workers`` is accepted for
+    compatibility and has no effect.
     """
     _require_curvature(K, N)
     ts = [float(t) for t in t_grid]
     if not ts or any(not 0.0 < t < 1.0 for t in ts):
         raise ValueError("t grid must be non-empty and lie in (0, 1)")
-    if K < 0.0:
-        require_node_budget(quad, sc.rank)
-    ratios = tuple(_contraction_ratios(sc, box, ts, quad))
     if K == 0.0:
-        bounds = tuple(t**N for t in ts)
+        ratios = _contraction_ratios(sc, box, ts, quad)
+        bounds = [t**N for t in ts]
     else:
-        bounds = tuple(_distortion_bounds(sc, box, K, N, ts, quad))
+        ratios, bounds = _curved_report(sc, box, K, N, ts, quad)
     return ContractionReport(
         group=repr(sc.spec),
         curvature=float(K),
         n_claimed=float(N),
         t_grid=tuple(ts),
-        ratios=ratios,
-        bounds=bounds,
+        ratios=tuple(ratios),
+        bounds=tuple(bounds),
     )

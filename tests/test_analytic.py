@@ -16,6 +16,7 @@ from htcarnot.geodesics import (
     _SINC_SERIES,
     _SMALL_THETA,
     _apply_f_inverse,
+    _jacobian_factors,
     _poly,
     _switch,
     _unit_reach_direct,
@@ -23,7 +24,6 @@ from htcarnot.geodesics import (
     _unit_reach_slope_direct,
     _unit_reach_slope_series,
     cos_minus_one_over_sq,
-    half_angle_defect,
     one_minus_sinc,
     sinc,
     theta_minus_sin_over_cube,
@@ -104,6 +104,23 @@ def test_pairs_at_zero_momentum(group):
     assert np.array_equal(apply_analytic(group, zero, EXP_NEG_PAIR, w), w)
 
 
+def _factor(index):
+    # one factor of _jacobian_factors on a single block, alpha = 1 and
+    # m = 1/2: pref = sinc(theta/2), a = h3(theta)/2 and b = tau(theta)
+    scale = (1.0, 2.0, 1.0)[index]
+
+    def factor(theta):
+        th = np.asarray(theta, dtype=np.float64)
+        out = _jacobian_factors(np.ones(1), 0.5, th[..., None])[index]
+        out = scale * (out if index == 0 else out[..., 0])
+        return float(out) if th.ndim == 0 else out
+
+    return factor
+
+
+factor_tau = _factor(2)
+
+
 def test_scalar_helpers_reference_values():
     # spot values against direct evaluation well away from 0
     th = 1.3
@@ -113,8 +130,8 @@ def test_scalar_helpers_reference_values():
     assert theta_minus_sin_over_cube(th) == pytest.approx((th - np.sin(th)) / th**3,
                                                           rel=1e-15)
     x = th / 2
-    tau = (np.sin(x) - x * np.cos(x)) / (4 * x * x * np.sin(x))
-    assert half_angle_defect(th) == pytest.approx(tau, rel=1e-15)
+    expected = (np.sin(x) - x * np.cos(x)) / (4 * x * x * np.sin(x))
+    assert factor_tau(th) == pytest.approx(expected, rel=1e-15)
 
 
 def test_scalar_helpers_limits_at_zero():
@@ -122,7 +139,7 @@ def test_scalar_helpers_limits_at_zero():
     assert one_minus_sinc(0.0) == 0.0
     assert cos_minus_one_over_sq(0.0) == -0.5
     assert theta_minus_sin_over_cube(0.0) == pytest.approx(1.0 / 6.0, abs=1e-18)
-    assert half_angle_defect(0.0) == pytest.approx(1.0 / 12.0, abs=1e-18)
+    assert factor_tau(0.0) == pytest.approx(1.0 / 12.0, abs=1e-18)
     assert unit_reach(0.0) == 0.0
     assert unit_reach_slope(0.0) == 1.0 / 12.0
 
@@ -142,7 +159,7 @@ def _taylor(theta, coeffs):
     (one_minus_sinc, [0.0, 1 / 6, -1 / 120, 1 / 5040]),
     (cos_minus_one_over_sq, [-0.5, 1 / 24, -1 / 720, 1 / 40320]),
     (theta_minus_sin_over_cube, [1 / 6, -1 / 120, 1 / 5040, -1 / 362880]),
-    (half_angle_defect, [1 / 12, 1 / 720, 1 / 30240, 1 / 1209600]),
+    (factor_tau, [1 / 12, 1 / 720, 1 / 30240, 1 / 1209600]),
 ], ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau"])
 def test_series_branch_accuracy_across_switch(fn, coeffs):
     # values straddling 1e-4, where the direct forms lose up to 7 digits to
@@ -153,10 +170,10 @@ def test_series_branch_accuracy_across_switch(fn, coeffs):
 
 
 @pytest.mark.parametrize("fn", [sinc, one_minus_sinc, cos_minus_one_over_sq,
-                                theta_minus_sin_over_cube, half_angle_defect,
-                                unit_reach, unit_reach_slope],
+                                theta_minus_sin_over_cube, factor_tau,
+                                unit_reach, unit_reach_slope, _factor(0), _factor(1)],
                          ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau", "phi",
-                              "phi-slope"])
+                              "phi-slope", "factor-sinc-half", "factor-h3"])
 def test_branch_switch_is_smooth_without_cancellation(fn):
     # crossing the series/direct threshold at 0.5 must leave no visible kink
     probe = np.linspace(0.5 - 2e-5, 0.5 + 2e-5, 41)
@@ -179,25 +196,31 @@ def _fraction_sin_cos(theta):
 
 
 def _reference(theta):
-    # the seven helpers from their defining expressions, in exact arithmetic
+    # the six helpers and the three factors of J from their defining
+    # expressions, in exact arithmetic
     t = Fraction(theta)
     sin, cos = _fraction_sin_cos(theta)
     half_sin, half_cos = _fraction_sin_cos(theta / 2)
     x = t / 2
+    h3 = (t - sin) / (t * t * t)
+    tau = (half_sin - x * half_cos) / (4 * x * x * half_sin)
     return {
         "sinc": sin / t,
         "cosm1": (cos - 1) / (t * t),
         "one-minus-sinc": 1 - sin / t,
-        "h3": (t - sin) / (t * t * t),
-        "tau": (half_sin - x * half_cos) / (4 * x * x * half_sin),
+        "h3": h3,
         "phi": (t - sin) / (4 * (1 - cos)),
         "phi-slope": (half_sin - x * half_cos) / (4 * half_sin**3),
+        "factor-sinc-half": half_sin / x,
+        "factor-h3": h3,
+        "factor-tau": tau,
     }
 
 
 _HELPERS = {"sinc": sinc, "cosm1": cos_minus_one_over_sq, "one-minus-sinc": one_minus_sinc,
-            "h3": theta_minus_sin_over_cube, "tau": half_angle_defect, "phi": unit_reach,
-            "phi-slope": unit_reach_slope}
+            "h3": theta_minus_sin_over_cube, "phi": unit_reach,
+            "phi-slope": unit_reach_slope, "factor-sinc-half": _factor(0),
+            "factor-h3": _factor(1), "factor-tau": factor_tau}
 
 
 def test_scalar_helpers_against_exact_reference():

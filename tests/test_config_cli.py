@@ -437,6 +437,17 @@ def test_import_leaves_numpy_random_unloaded():
     assert res.returncode == 0, res.stderr
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the Chebyshev basis is built with plain numpy on first use; the
+    # Gauss-Legendre rule loads numpy.polynomial on the first quadrature
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, htcarnot; assert 'numpy.polynomial' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_import_leaves_thread_pools_unloaded():
     res = subprocess.run(
         [sys.executable, "-c",
@@ -489,10 +500,17 @@ def test_mcp_rejects_non_finite_curvature(flag):
 
 
 def test_mcp_node_budget_exits_three():
+    # the quad^p v-grid on the default box; the K < 0 average there needs no
+    # u-grid
     res = run_cli("mcp", "--group", "htype4x3", "--K", "-1", "--quad", "10000",
                   "--t-grid", "0.5")
     assert res.returncode == 3
-    assert str(10**16) in res.stderr
+    assert str(10**12) in res.stderr
+    # the quad^k u-grid, on a box where the interpolant misses its error bound
+    res = run_cli("mcp", "--group", "heisenberg3", "--K", "-25", "--quad", "10000",
+                  "--box=-20,-20,0.5;20,20,1", "--t-grid", "0.5")
+    assert res.returncode == 3
+    assert str(10**8) in res.stderr
 
 
 @pytest.mark.parametrize("steps", [10**12, 2**22 // 16])

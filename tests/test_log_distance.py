@@ -232,6 +232,23 @@ def test_log_never_returns_a_miss_on_huge_targets(heis):
     assert math.hypot(*gap) <= _LOG_ENDPOINT * math.hypot(*target.as_vector())
 
 
+@pytest.mark.parametrize("name", ["heisenberg3", "contact12", "htype4x3"])
+@pytest.mark.parametrize("scale", [1e-96, 1e-150])
+def test_round_trip_below_unit_scale(name, scale):
+    # |z| is about scale^2: a product of two reach gaps underflows to 0 and
+    # hid the root bracket, and a Newton tolerance absolute below |z| = 1
+    # stopped at the bracket midpoint
+    sc = catalog_structure(name)
+    rng = np.random.default_rng([29, sc.rank, sc.corank])
+    for u in (np.eye(sc.rank)[1] * 1.31, rng.uniform(-1.0, 1.0, sc.rank)):
+        u = scale * u
+        vhat = rng.standard_normal(sc.corank)
+        v = 0.9 * sc.first_conjugate_radius * vhat / np.linalg.norm(vhat)
+        back = log_map(sc, exp_map(sc, Covector(u, v)))
+        assert np.max(np.abs(back.u - u)) <= 1e-14 * np.max(np.abs(u))
+        assert np.max(np.abs(back.v - v)) <= 1e-14 * np.linalg.norm(v)
+
+
 def test_round_trip_with_small_angle_and_large_u(heis):
     # theta = 2e-4 with |u| = 1e4: the direct forms of the scalar helpers
     # cancel at such angles, and the digits they lose move the endpoint by

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htcarnot import (
     BoxOutsideDomain,
@@ -34,8 +36,8 @@ from htcarnot import (
 )
 from htcarnot import mcp as mcp_module
 from htcarnot.geodesics import _jacobian_core
-from htcarnot.mcp import _require_box_in_domain, _sinh_ratio
-from htcarnot.quadrature import mapped_rule, pairwise_sum
+from htcarnot.mcp import _jacobian_expansion, _require_box_in_domain, _sinh_ratio
+from htcarnot.quadrature import mapped_rule, pairwise_sum, pairwise_sums, tensor_grid
 from htcarnot.randomness import DEFAULT_SEED, generator
 
 
@@ -198,6 +200,22 @@ def test_jacobian_contraction_matches_per_sample_loop(group):
         margins += [jacobian(group, lam.scale(t)) / (t ** (2 * p) * base) - 1.0 for t in ts]
     rep = check_jacobian_contraction(group, 40, ts)
     assert rep.min_margin == pytest.approx(min(margins), rel=0.0, abs=1e-14)
+
+
+def test_jacobian_contraction_without_kernel_coordinates_is_bit_for_bit(group):
+    # kernel coordinates contribute the factor 1 and the weights 0, so the
+    # check evaluates only the others and keeps the margin of all of them
+    ts = (0.1, 0.5, 0.9)
+    box = default_box(group)
+    draws = generator(DEFAULT_SEED, stream=2).uniform(box.lower, box.upper, size=(60, box.dim))
+    k, p = group.rank, group.corank
+    scales = np.array([1.0, *ts])[:, None]
+    u = scales * draws[:, None, :k]
+    jac = _jacobian_core(group.s_diag, 0.5, p, u * u,
+                         np.linalg.norm(scales * draws[:, None, k:], axis=-1))
+    t_pow = np.array([t ** (2 * p) for t in ts])
+    every = float((jac[:, 1:] / (t_pow * jac[:, :1]) - 1.0).min())
+    assert check_jacobian_contraction(group, 60, ts).min_margin == every
 
 
 def test_jacobian_contraction_batches_do_not_change_the_margin(quat, monkeypatch):
@@ -486,20 +504,146 @@ def _brute_force_bounds(sc, K, N, box, ts, quad):
             for t in ts]
 
 
+def _narrowed_box(sc):
+    # the default box narrowed by a different amount in each coordinate, so
+    # that no two blocks see the same u-range
+    steps = np.arange(sc.dim)
+    box = default_box(sc)
+    return CovectorBox(box.lower + 0.03 * steps, box.upper - 0.04 * steps)
+
+
 @pytest.mark.parametrize("shift", [(-1.0, 0.0), (-3.0, 0.5)])
 def test_factored_negative_curvature_matches_full_grid(group, shift):
     K, deficit = shift
     N = geodesic_dimension(group.spec) - deficit
-    # the default box narrowed by a different amount in each coordinate, so
-    # that no two blocks see the same u-range
-    steps = np.arange(group.dim)
-    box = default_box(group)
-    box = CovectorBox(box.lower + 0.03 * steps, box.upper - 0.04 * steps)
+    box = _narrowed_box(group)
     ts = [0.1, 0.45, 0.8]
     rep = mcp_report(group, K, N, box, ts, 5)
     ref = _brute_force_bounds(group, K, N, box, ts, 5)
     for got, want in zip(rep.bounds, ref):
         assert got == pytest.approx(want, rel=1e-13)
+
+
+def _loop_moment_table(sc, u_lo, u_hi, quad):
+    # the q^delta moments as a Python loop over coordinates and degrees
+    p = sc.corank
+    sums = [[pairwise_sum(w * x ** (2 * e)) for e in range(p + 1)]
+            for x, w in (mapped_rule(lo, hi, quad) for lo, hi in zip(u_lo, u_hi))]
+    kernel = 1.0
+    for c in sc.kernel_indices:
+        kernel *= sums[c][0]
+    tables = []
+    for b in sc.blocks:
+        dp = [1.0] + [0.0] * p
+        for c in b.indices:
+            dp = [sum(math.comb(d, e) * sums[c][e] * dp[d - e] for e in range(d + 1))
+                  for d in range(p + 1)]
+        tables.append(dp)
+    return [math.prod((tables[j][dj] for j, dj in enumerate(delta)), start=kernel)
+            for delta in mcp_module._deltas(p, len(sc.blocks))]
+
+
+@pytest.mark.parametrize("quad", [4, 5, 8])
+def test_moment_table_against_loop_and_full_grid(group, quad):
+    # column 0 sums as the loop does, bit for bit, with or without the
+    # y-columns; column j is sum_u w q^delta y^j over the full u-grid
+    rng = np.random.default_rng([41, group.rank, group.corank, quad])
+    k = group.rank
+    for _ in range(5):
+        u_lo = rng.uniform(-1.5, 1.0, k)
+        u_hi = u_lo + rng.uniform(0.1, 1.5, k)
+        fit = mcp_module._distortion_fit(u_lo, u_hi, -1.0, 7.0, [0.3])
+        degree = fit[0].shape[1] - 1
+        (m, h) = fit[1]
+        plain = mcp_module._u_moment_table(group, u_lo, u_hi, quad)
+        table = mcp_module._u_moment_table(group, u_lo, u_hi, quad, degree, fit[1])
+        assert plain[:, 0].tolist() == table[:, 0].tolist() == _loop_moment_table(
+            group, u_lo, u_hi, quad)
+        pts, wts = tensor_grid(u_lo, u_hi, quad)
+        y = np.sum((pts * pts - m) / h, axis=1)
+        q = np.stack([np.sum(pts[:, b.indices] ** 2, axis=1) for b in group.blocks], axis=-1)
+        for row, delta in zip(table, mcp_module._deltas(group.corank, len(group.blocks))):
+            weight = wts * np.prod(q ** np.array(delta), axis=-1)
+            want = [pairwise_sum(weight * y**j) for j in range(degree + 1)]
+            np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-13 * row[0])
+
+
+@pytest.mark.parametrize("quad", [5, 8])
+@pytest.mark.parametrize("shift", [(-1.0, 0.0), (-3.0, 0.5)])
+def test_chebyshev_average_matches_factored_grid(group, shift, quad, monkeypatch):
+    K, deficit = shift
+    N = geodesic_dimension(group.spec) - deficit
+    ts = [0.1, 0.45, 0.8]
+    for box in (default_box(group), _narrowed_box(group)):
+        assert mcp_module._distortion_fit(box.lower[:group.rank], box.upper[:group.rank],
+                                          K, N, ts) is not None
+        rep = mcp_report(group, K, N, box, ts, quad)
+        with monkeypatch.context() as m:
+            m.setattr(mcp_module, "_distortion_fit", lambda *args: None)
+            grid = mcp_report(group, K, N, box, ts, quad)
+        assert rep.ratios == grid.ratios
+        for got, want in zip(rep.bounds, grid.bounds):
+            assert got == pytest.approx(want, rel=1e-13)
+
+
+def _parent_grid_bounds(sc, box, K, N, ts, quad):
+    # the u-grid sum as it is written without the interpolant: one
+    # pairwise_sum per coefficient and per monomial
+    u_lo, u_hi, v_lo, v_hi = box.split(sc.rank)
+    v_pts, v_wts = tensor_grid(v_lo, v_hi, quad)
+    pref, coeffs = _jacobian_expansion(
+        sc, np.multiply.outer(np.linalg.norm(v_pts, axis=1), sc.block_alphas()))
+    v_side = np.array([pairwise_sum(v_wts * pref * c) for c in coeffs])
+    u_pts, u_wts = tensor_grid(u_lo, u_hi, quad)
+    q = np.stack([np.sum(u_pts[:, b.indices] ** 2, axis=1) for b in sc.blocks], axis=-1)
+    monomials = [u_wts * np.prod(q ** np.array(delta), axis=-1)
+                 for delta in mcp_module._deltas(sc.corank, len(sc.blocks))]
+    den = pairwise_sum(v_side * [pairwise_sum(m) for m in monomials])
+    a = math.sqrt(-K) / math.sqrt(N - 1.0) * np.linalg.norm(u_pts, axis=1)
+    t_col = np.array(ts)[:, None]
+    weight = t_col * _sinh_ratio(t_col, a) ** (N - 1.0)
+    u_side = np.stack([pairwise_sums(weight * m) for m in monomials], axis=-1)
+    return tuple((pairwise_sums(u_side * v_side) / den).tolist())
+
+
+@pytest.mark.parametrize("lo, hi, K", [(-20.0, 20.0, -25.0), (0.1, 50.0, -1.0)])
+def test_wide_boxes_fall_back_to_the_grid(heis, lo, hi, K):
+    # D_t spans many orders of magnitude over these u-boxes; a fixed-degree
+    # interpolant missed by 1.7e-5 on the second and by a factor 5e13 on
+    # the first
+    box = CovectorBox([lo, lo, 0.5], [hi, hi, 1.0])
+    ts = [0.2, 0.5, 0.8]
+    assert mcp_module._distortion_fit(box.lower[:2], box.upper[:2], K, 5.0, ts) is None
+    rep = mcp_report(heis, K, 5.0, box, ts, 8)
+    assert rep.bounds == _parent_grid_bounds(heis, box, K, 5.0, ts, 8)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(catalog_names()), data=st.data(),
+       K=st.floats(-30.0, -1e-3), deficit=st.floats(0.0, 2.0),
+       t=st.floats(0.01, 0.99), quad=st.integers(4, 8))
+def test_negative_curvature_bound_is_at_most_flat_power(name, data, K, deficit, t, quad):
+    # sinh(t a) <= t sinh(a) for a >= 0, so D_t <= t^N pointwise and so is
+    # every J-weighted average of it, on either path
+    sc = catalog_structure(name)
+    box = default_box(sc)
+    a = np.array(data.draw(st.lists(st.floats(0.0, 0.5), min_size=sc.dim, max_size=sc.dim)))
+    w = np.array(data.draw(st.lists(st.floats(0.25, 0.5), min_size=sc.dim, max_size=sc.dim)))
+    span = box.upper - box.lower
+    box = CovectorBox(box.lower + a * span, box.lower + (a + w) * span)
+    N = geodesic_dimension(sc.spec) - deficit
+    rep = mcp_report(sc, K, N, box, [t], quad)
+    assert 0.0 <= rep.bounds[0] <= t**N * (1.0 + 1e-13)
+
+
+def test_rank_eight_negative_curvature_certificate():
+    # 6^8 u-nodes at quad 6 and 8^8 at quad 8, where the grid is refused;
+    # the interpolant needs only the 6^7-node v-grid
+    sc = build_structure(GroupSpec(rank=8, corank=7, spectrum=((1.0, 4),)))
+    n = geodesic_dimension(sc.spec)
+    rep = mcp_report(sc, -1.0, n, default_box(sc), [0.2, 0.5, 0.8], 6)
+    assert rep.passed
+    assert all(0.0 < b < t**n for b, t in zip(rep.bounds, rep.t_grid))
 
 
 def test_negative_curvature_bound_finite_when_a_node_has_u_zero(heis):
@@ -538,12 +682,18 @@ def test_underflowing_bound_has_infinite_margin(heis):
     assert tiny.margins == (0.0,) and tiny.passed
 
 
-def test_node_budget_raises_before_any_grid(quat):
+def test_node_budget_raises_before_any_grid(quat, heis):
     box = default_box(quat)
     with pytest.raises(ValueError, match=str(10**12)):
         mcp_report(quat, 0.0, 13.0, box, [0.5], 10**4)
-    with pytest.raises(ValueError, match=str(10**16)):
+    # the K < 0 average on this box needs no u-grid, so the v-grid is the cap
+    with pytest.raises(ValueError, match=str(10**12)):
         mcp_report(quat, -1.0, 13.0, box, [0.5], 10**4)
+    # where the interpolant misses its error bound, the quad^k u-grid is
+    # capped before any grid is built
+    wide = CovectorBox([-20.0, -20.0, 0.5], [20.0, 20.0, 1.0])
+    with pytest.raises(ValueError, match=str(10**8)):
+        mcp_report(heis, -25.0, 5.0, wide, [0.5], 10**4)
     with pytest.raises(ValueError, match=str(10**12)):
         contraction_ratio(quat, box, 0.5, 10**4)
 
