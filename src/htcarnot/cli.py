@@ -30,15 +30,11 @@ from .config import parse_config
 from .errors import (
     ConfigError,
     CutLocusTarget,
-    DimensionMismatch,
     HTCarnotError,
-    IdentityTarget,
     NoCandidateFound,
     SpecNotRealizable,
     StructureInvalid,
-    UnsupportedPositiveK,
     WitnessNotFound,
-    ZeroCovector,
 )
 from .geodesics import (
     Covector,
@@ -58,7 +54,6 @@ from .mcp import (
     sharpness_witness,
 )
 from .quadrature import NODE_BUDGET
-from .randomness import DEFAULT_SEED
 from .structure import existence_check, validate_structure
 
 EXIT_OK = 0
@@ -140,26 +135,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_group(args):
-    """Return (structure constants or None, parsed config or None, seed)."""
+    """Return (catalog structure constants, None) or (None, parsed config)."""
     if (args.config is None) == (args.group is None):
         raise ConfigError("exactly one of a config file or --group is required")
     if args.group is not None:
-        sc = catalog_structure(args.group)
-        seed = DEFAULT_SEED if args.seed is None else args.seed
-        return sc, None, seed
+        return catalog_structure(args.group), None
     try:
-        cfg = parse_config(args.config)
+        return None, parse_config(args.config)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.config}: {exc.strerror or exc}") from None
-    seed = cfg.seed if args.seed is None else args.seed
-    return None, cfg, seed
 
 
 def _structure(args):
-    sc, cfg, seed = _resolve_group(args)
-    if sc is None:
-        sc = cfg.realize()
-    return sc, seed
+    sc, cfg = _resolve_group(args)
+    return cfg.realize() if sc is None else sc
 
 
 def _emit(lines, out: Path | None, quiet: bool):
@@ -195,8 +184,9 @@ def _fmt(x: float) -> str:
 
 
 def cmd_validate(args) -> int:
-    sc, cfg, seed = _resolve_group(args)
+    sc, cfg = _resolve_group(args)
     if cfg is not None and not cfg.is_spectral:
+        seed = cfg.seed if args.seed is None else args.seed
         report = validate_structure(np.diag(cfg.s_diagonal), cfg.l_matrices,
                                     tol=cfg.tolerance, seed=seed)
         for check in report.checks:
@@ -218,7 +208,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    sc, _ = _structure(args)
+    sc = _structure(args)
     if args.steps <= 0:
         raise ConfigError(f"--steps must be positive, got {args.steps}")
     # the geodesic is evaluated on (steps + 1) rows of a rank x rank L_v
@@ -228,15 +218,8 @@ def cmd_exp(args) -> int:
             f"--steps must be at most {max_steps} for rank {sc.rank} "
             f"(at most {NODE_BUDGET} values per evaluation), got {args.steps}"
         )
-    u = np.asarray(args.u)
-    v = np.asarray(args.v)
-    if u.shape != (sc.rank,) or v.shape != (sc.corank,):
-        raise DimensionMismatch(
-            f"need {sc.rank} u-components and {sc.corank} v-components, "
-            f"got {u.size} and {v.size}"
-        )
-    lam = Covector(u, v)
-    tc = cut_time(sc, lam)  # rejects the zero covector before any output
+    lam = Covector(args.u, args.v)
+    tc = cut_time(sc, lam)  # rejects a bad shape or the zero covector before output
     ts = [i / args.steps for i in range(args.steps + 1)]
     points = geodesic_sample(sc, lam, ts)
     header = "t," + ",".join(
@@ -253,15 +236,8 @@ def cmd_exp(args) -> int:
 
 
 def cmd_log(args) -> int:
-    sc, _ = _structure(args)
-    x = np.asarray(args.x)
-    z = np.asarray(args.z)
-    if x.shape != (sc.rank,) or z.shape != (sc.corank,):
-        raise DimensionMismatch(
-            f"need {sc.rank} x-components and {sc.corank} z-components, "
-            f"got {x.size} and {z.size}"
-        )
-    target = GroupPoint(x, z)
+    sc = _structure(args)
+    target = GroupPoint(args.x, args.z)
     try:
         lam = log_map(sc, target)
     except CutLocusTarget:
@@ -285,25 +261,21 @@ def _parse_box(sc, text: str) -> CovectorBox:
         return default_box(sc)
     if text == "sharpness":
         return sharpness_box(sc)
+    # the syntax only: CovectorBox and mcp_report check the corners
     parts = text.split(";")
     if len(parts) != 2:
         raise ConfigError(
             '--box must be "default", "sharpness", or "lo1,..;hi1,.."'
         )
-    lo = _float_list(parts[0])
-    hi = _float_list(parts[1])
-    if len(lo) != sc.dim or len(hi) != sc.dim:
-        raise ConfigError(
-            f"box corners need {sc.dim} components each, got {len(lo)} and {len(hi)}"
-        )
     try:
-        return CovectorBox(np.array(lo), np.array(hi))
-    except ValueError as exc:
+        lo, hi = map(_float_list, parts)
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(str(exc)) from None
+    return CovectorBox(lo, hi)
 
 
 def cmd_mcp(args) -> int:
-    sc, _ = _structure(args)
+    sc = _structure(args)
     n_claimed = geodesic_dimension(sc.spec) if args.N is None else args.N
     box = _parse_box(sc, args.box)
     report = mcp_report(sc, args.K, n_claimed, box, args.t_grid, args.quad,
@@ -328,7 +300,7 @@ def cmd_mcp(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    sc, _ = _structure(args)
+    sc = _structure(args)
     try:
         box, report = sharpness_witness(sc, args.epsilon)
     except WitnessNotFound as exc:
@@ -372,20 +344,13 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
-    except (ConfigError, DimensionMismatch, IdentityTarget, ZeroCovector,
-            UnsupportedPositiveK) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (SpecNotRealizable, StructureInvalid) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (WitnessNotFound, NoCandidateFound, CutLocusTarget) as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except HTCarnotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (HTCarnotError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

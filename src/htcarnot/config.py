@@ -8,10 +8,11 @@ JSON with exactly one of two forms:
   explicit: {"S_diagonal": [k reals],
              "L_matrices": [p row-major k x k arrays]}
 
-plus optional top-level "seed" (unsigned int) and "tolerance" (positive
-real, default 1e-12, used to validate the explicit form).  Schema problems
-raise ConfigError; a well-formed config that fails the mathematical checks
-raises StructureInvalid/SpecNotRealizable from realize().
+plus optional top-level "seed" (an integer in [0, 2**64)) and "tolerance"
+(real in (0, 1), default 1e-12, used to validate the explicit form).  Schema
+problems and the values GroupSpec rejects raise ConfigError; a well-formed
+config that fails the mathematical checks raises
+StructureInvalid/SpecNotRealizable from realize().
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .randomness import DEFAULT_SEED
+from .randomness import DEFAULT_SEED, check_seed
 from .structure import (
     GroupSpec,
     StructureConstants,
@@ -58,14 +59,18 @@ class ParsedConfig:
                                        tol=self.tolerance)
 
 
-def _fail(msg: str) -> ConfigError:
-    return ConfigError(msg)
+def _real(value):
+    # a JSON number as a float, else None (also for integers beyond floats)
+    try:
+        return float(value) if type(value) in (int, float) else None
+    except OverflowError:
+        return None
 
 
-def _uint(data, key, minimum=0):
+def _int(data, key):
     val = data[key]
-    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
-        raise _fail(f"{key!r} must be an integer >= {minimum}, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{key!r} must be an integer, got {val!r}")
     return val
 
 
@@ -75,99 +80,86 @@ def parse_config(path) -> ParsedConfig:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _fail(f"not valid JSON: {exc}") from None
+        raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise _fail("top level must be a JSON object")
+        raise ConfigError("top level must be a JSON object")
 
     keys = set(data)
     unknown = keys - _SPECTRAL_KEYS - _EXPLICIT_KEYS - _OPTIONAL_KEYS
     if unknown:
-        raise _fail(f"unknown keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys: {sorted(unknown)}")
     has_spectral = bool(keys & _SPECTRAL_KEYS)
     has_explicit = bool(keys & _EXPLICIT_KEYS)
     if has_spectral == has_explicit:
-        raise _fail("config must use exactly one of the spectral form "
-                    "(rank/corank/spectrum/kernel_dim) or the explicit form "
-                    "(S_diagonal/L_matrices)")
+        raise ConfigError("config must use exactly one of the spectral form "
+                          "(rank/corank/spectrum/kernel_dim) or the explicit form "
+                          "(S_diagonal/L_matrices)")
 
-    seed = _uint(data, "seed") if "seed" in data else DEFAULT_SEED
-    tolerance = data.get("tolerance", 1e-12)
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) \
-            or not 0 < float(tolerance) < 1:
-        raise _fail(f"'tolerance' must be a real in (0, 1), got {tolerance!r}")
-    tolerance = float(tolerance)
+    try:
+        seed = check_seed(data.get("seed", DEFAULT_SEED))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    tolerance = _real(data.get("tolerance", 1e-12))
+    if tolerance is None or not 0 < tolerance < 1:
+        raise ConfigError(
+            f"'tolerance' must be a real in (0, 1), got {data['tolerance']!r}")
 
-    if has_spectral:
-        missing = _SPECTRAL_KEYS - keys
-        if missing:
-            raise _fail(f"spectral form is missing keys: {sorted(missing)}")
-        spec = _parse_spectral(data)
-        return ParsedConfig(spec=spec, s_diagonal=None, l_matrices=None,
-                            seed=seed, tolerance=tolerance)
-
-    missing = _EXPLICIT_KEYS - keys
+    form, form_keys = ("spectral", _SPECTRAL_KEYS) if has_spectral else \
+        ("explicit", _EXPLICIT_KEYS)
+    missing = form_keys - keys
     if missing:
-        raise _fail(f"explicit form is missing keys: {sorted(missing)}")
-    s_diag, l_mats = _parse_explicit(data)
-    return ParsedConfig(spec=None, s_diagonal=s_diag, l_matrices=l_mats,
-                        seed=seed, tolerance=tolerance)
+        raise ConfigError(f"{form} form is missing keys: {sorted(missing)}")
+    if has_spectral:
+        return ParsedConfig(_parse_spectral(data), None, None, seed, tolerance)
+    return ParsedConfig(None, *_parse_explicit(data), seed, tolerance)
 
 
 def _parse_spectral(data) -> GroupSpec:
-    rank = _uint(data, "rank", minimum=1)
-    corank = _uint(data, "corank", minimum=1)
-    kernel_dim = _uint(data, "kernel_dim")
+    # JSON types here; GroupSpec checks the values
+    rank = _int(data, "rank")
+    corank = _int(data, "corank")
+    kernel_dim = _int(data, "kernel_dim")
     entries = data["spectrum"]
-    if not isinstance(entries, list) or not entries:
-        raise _fail("'spectrum' must be a non-empty list")
-    pairs = []
+    if not isinstance(entries, list):
+        raise ConfigError("'spectrum' must be a list")
+    merged: list[tuple[float, int]] = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or set(entry) != {"alpha", "pair_multiplicity"}:
-            raise _fail(f"spectrum[{i}] must be an object with keys "
-                        "'alpha' and 'pair_multiplicity'")
-        alpha = entry["alpha"]
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) \
-                or not float(alpha) > 0:
-            raise _fail(f"spectrum[{i}].alpha must be a positive real")
-        mult = entry["pair_multiplicity"]
-        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-            raise _fail(f"spectrum[{i}].pair_multiplicity must be a positive integer")
-        pairs.append((float(alpha), mult))
-
-    # merge equal eigenvalues, reject decreasing order
-    merged: list[tuple[float, int]] = []
-    for alpha, mult in pairs:
-        if merged and alpha == merged[-1][0]:
+            raise ConfigError(f"spectrum[{i}] must be an object with keys "
+                              "'alpha' and 'pair_multiplicity'")
+        alpha = _real(entry["alpha"])
+        if alpha is None:
+            raise ConfigError(f"spectrum[{i}].alpha must be a real")
+        mult = _int(entry, "pair_multiplicity")
+        # equal eigenvalues in a row merge into one block; a multiplicity
+        # below 1 stays unmerged, for GroupSpec to reject
+        if merged and alpha == merged[-1][0] and min(mult, merged[-1][1]) >= 1:
             merged[-1] = (alpha, merged[-1][1] + mult)
-        elif merged and alpha < merged[-1][0]:
-            raise _fail("'spectrum' entries must be in increasing alpha order")
         else:
             merged.append((alpha, mult))
-
     try:
         return GroupSpec(rank=rank, corank=corank, spectrum=tuple(merged),
                          kernel_dim=kernel_dim)
     except ValueError as exc:
-        raise _fail(str(exc)) from None
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_explicit(data):
     s_raw = data["S_diagonal"]
-    if not isinstance(s_raw, list) or not s_raw or \
-            not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in s_raw):
-        raise _fail("'S_diagonal' must be a non-empty list of reals")
-    k = len(s_raw)
+    s_diag = [_real(x) for x in s_raw] if isinstance(s_raw, list) else []
+    if not s_diag or None in s_diag:
+        raise ConfigError("'S_diagonal' must be a non-empty list of reals")
+    k = len(s_diag)
     l_raw = data["L_matrices"]
     if not isinstance(l_raw, list) or not l_raw:
-        raise _fail("'L_matrices' must be a non-empty list of k x k matrices")
+        raise ConfigError("'L_matrices' must be a non-empty list of k x k matrices")
     mats = []
     for a, mat in enumerate(l_raw):
         try:
             arr = np.asarray(mat, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise _fail(f"L_matrices[{a}] is not a numeric array") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"L_matrices[{a}] is not a numeric array") from None
         if arr.shape != (k, k):
-            raise _fail(f"L_matrices[{a}] must be a {k} x {k} row-major array")
+            raise ConfigError(f"L_matrices[{a}] must be a {k} x {k} row-major array")
         mats.append(arr)
-    return np.asarray(s_raw, dtype=np.float64), np.stack(mats)
+    return np.array(s_diag), np.stack(mats)

@@ -27,10 +27,20 @@ from .errors import (
     OutOfDomain,
     ZeroCovector,
 )
-from .group import GroupPoint, inverse, multiply
+from .group import GroupPoint, _check_point, inverse, multiply
 from .structure import StructureConstants, l_of_v
 
 _SMALL_THETA = 0.5
+
+# exp and log are dilation-equivariant, exp(eps u, v) = delta_eps exp(u, v)
+# and log(delta_eps p) = (eps u, v) with delta_eps (x, z) = (eps x, eps^2 z),
+# and in range a power of two scales every rounding exactly.  So exp works on
+# u dilated to unit scale, and log on targets dilated to unit scale where
+# their coordinates or squares would leave the normal float range: log's
+# endpoint tolerance, 1e-10 max(1, |target|), is not dilation-invariant, so
+# only targets outside the band are dilated.  The band leaves room for the
+# weights that multiply the squares.
+_SCALE_BAND = (2.0**-400, 2.0**400)
 
 # Taylor coefficients of sinc, of h3 = (theta - sin theta)/theta^3 (so also
 # of (1 - sinc)/theta^2), both in theta^2, and of (1 - x cot x)/x^2 in x^2;
@@ -215,6 +225,12 @@ class Covector:
         return f"Covector(u={self.u.tolist()}, v={self.v.tolist()})"
 
 
+def _dilation_exponent(scale: float) -> int:
+    # e with scale 2^-e in [0.5, 1), and 0 for a scale of 0: the exact power
+    # of two that brings a scale to unit size
+    return math.frexp(scale)[1]
+
+
 def _check_covector(sc, lam: Covector):
     if lam.u.shape != (sc.rank,) or lam.v.shape != (sc.corank,):
         raise DimensionMismatch(
@@ -227,6 +243,7 @@ def apply_analytic(sc: StructureConstants, v, fn: AnalyticPair, w) -> np.ndarray
     """Evaluate fn(L_v) w as even(theta) w + odd(theta) L_v w, theta = s |v|."""
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    # a public entry point that takes raw arrays, so it owns their shape check
     if v.shape != (sc.corank,) or w.shape != (sc.rank,):
         raise DimensionMismatch(
             f"shapes v{v.shape}, w{w.shape}; expected ({sc.corank},), ({sc.rank},)"
@@ -242,7 +259,10 @@ def _exp_rows(sc, u, v):
     # z = (1/2) sum_c s_c^2 h3(theta_c) u_c^2 v, the sum of _vertical_reach;
     # + 0.0 turns the -0.0 of t = 0 rows (t u and t v) into 0.0 in x and z.
     # On ker S, f(L_v) is the identity and s_c^2 = 0, so the scalar helpers
-    # only see the coordinates with s_c > 0.
+    # only see the coordinates with s_c > 0.  u is dilated to unit scale
+    # first, so that its squares stay in the normal range (see _SCALE_BAND).
+    e = _dilation_exponent(float(np.abs(u).max())) if u.size else 0
+    u = np.ldexp(u, -e)
     pos = sc.s_positive
     s = sc.s_diag[pos]
     theta = np.linalg.norm(v, axis=1, keepdims=True) * s
@@ -253,7 +273,10 @@ def _exp_rows(sc, u, v):
     x[:, pos] = F_PAIR.even_part(theta) * up + F_PAIR.odd_part(theta) * lu[:, pos]
     reach = np.sum((s * s * theta_minus_sin_over_cube(theta)) * (up * up), axis=1,
                    keepdims=True)
-    return x + 0.0, 0.5 * reach * v + 0.0
+    # an endpoint beyond the float range becomes inf, which GroupPoint rejects
+    with np.errstate(over="ignore"):
+        x, z = np.ldexp(x, e), np.ldexp(0.5 * reach * v, 2 * e)
+    return x + 0.0, z + 0.0
 
 
 def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
@@ -446,10 +469,14 @@ def _momentum_at(sc, x, zn, vhat, r):
     alpha = sc.alpha_max
     c = 0.5 * r * alpha**2 * theta_minus_sin_over_cube(alpha * r)
     top2 = (zn - _vertical_reach(sc, u, r)) / c
-    sigma = np.sin(0.5 * alpha * min(r, sc.first_conjugate_radius - r)) / (0.5 * alpha * r)
+    sigma = float(np.sin(0.5 * alpha * min(r, sc.first_conjugate_radius - r)))
+    sigma /= 0.5 * alpha * r
     m = m0
     if top2 > 0.0 and (m0 > 0.0 or sigma == 0.0):
-        m += (np.sqrt(top2) - m0) / (1.0 + sigma * sigma / (4.0 * c * c * top2))
+        # 4 c^2 top2 underflows for a root near 0, where w vanishes
+        den = 4.0 * c * c * top2
+        if den > 0.0:
+            m += (math.sqrt(top2) - m0) / (1.0 + sigma * sigma / den)
     if m0 > 0.0:
         u[top] = (m / m0) * u_top
     else:
@@ -489,8 +516,9 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     contribute nothing.  A scan of F at 64 radii up to R (1 - 1e-12)
     brackets the root and decides the cut locus: no sign change means no
     covector in the domain reaches the target.  Newton with the exact F'
-    then solves in the bracket, shrinking it by the sign of F - |z| and
-    taking its midpoint whenever a step would leave it, until
+    then solves in the bracket, shrinking it by the sign of F - |z|, taking
+    the secant from F(0) = 0 when a step cancels to 0 or below, and the
+    bracket's midpoint whenever a step would leave it, until
     |F - |z|| <= 1e-12 |z|, after which it takes one last step, or until
     the iterate stops moving.  The covector is (u, r z/|z|) at the
     root, with u = f(L_v)^{-1} x below the top eigenblock and the top block
@@ -498,13 +526,38 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     (0, R), which is injectivity of exp on D, so the scan finds at most one
     bracket.
 
+    A target whose coordinates or squares would leave the normal float range
+    is solved, and checked, on its dilation by an exact power of two 2^-e,
+    and the covector (2^e u, v) is returned (see _SCALE_BAND).
+
     Raises CutLocusTarget when no root exists (the target is not in the
     diffeomorphic image), NoCandidateFound when the scan finds several
     brackets or the covector misses the target by more than the endpoint
     tolerance, and IdentityTarget for the identity.
     """
-    if target.x.shape != (sc.rank,) or target.z.shape != (sc.corank,):
-        raise DimensionMismatch("target dimensions do not match the structure")
+    return _at_unit_scale(_log_at_unit_scale, sc, target)
+
+
+def _at_unit_scale(solve, sc, target: GroupPoint) -> Covector:
+    # solve(sc, target), with the target first dilated by 2^-e to unit scale
+    # where its coordinates or squares would leave the normal range; the
+    # covector found is dilated back to (2^e u, v)
+    _check_point(sc, target)
+    x, z = target.x.tolist(), target.z.tolist()
+    scale = max(max(map(abs, x)), math.sqrt(max(map(abs, z))))
+    if _SCALE_BAND[0] <= scale <= _SCALE_BAND[1]:
+        return solve(sc, target)
+    e = _dilation_exponent(scale)
+    lam = solve(sc, GroupPoint(np.ldexp(target.x, -e), np.ldexp(target.z, -2 * e)))
+    with np.errstate(over="ignore"):
+        u = np.ldexp(lam.u, e)
+    # the distance |u| must be a float too, as it is at every target in the band
+    if not math.isfinite(math.hypot(*u.tolist())):
+        raise ValueError("the covector's length |u| is beyond the float range")
+    return Covector(u, lam.v)
+
+
+def _log_at_unit_scale(sc, target: GroupPoint) -> Covector:
     zn = math.hypot(*target.z)
     if zn == 0.0:
         if not np.any(target.x):
@@ -564,6 +617,11 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
                 if lo < cand < hi:
                     root = cand
                 break
+            if lo == 0.0 and not cand > 0.0:
+                # F is convex with F(0) = 0, so a step to or below 0 is
+                # cancellation: the root lies far below the iterate (|z| far
+                # below |x|^2).  The secant from F(0) = 0 lands at or below it.
+                cand = root * (zn / reach)
             if not lo < cand < hi:
                 cand = 0.5 * (lo + hi)
             if cand == root:
@@ -582,10 +640,9 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Distance value plus whether it is exact (log map or cut-locus formula)."""
+    """Distance value, from the log map or the cut-locus closed form."""
 
     value: float
-    exact: bool
 
     def __float__(self):
         return self.value
@@ -602,10 +659,10 @@ def distance(sc: StructureConstants, p: GroupPoint, q: GroupPoint) -> DistanceRe
     try:
         lam = log_map(sc, target)
     except IdentityTarget:
-        return DistanceResult(0.0, True)
+        return DistanceResult(0.0)
     except CutLocusTarget:
-        return DistanceResult(distance_bound(sc, target), True)
-    return DistanceResult(math.hypot(*lam.u), True)
+        return DistanceResult(distance_bound(sc, target))
+    return DistanceResult(math.hypot(*lam.u))
 
 
 _CUT_RESIDUAL = 1e-8
@@ -613,8 +670,10 @@ _CUT_RESIDUAL = 1e-8
 
 def _cut_locus_covector(sc: StructureConstants, target: GroupPoint) -> Covector:
     # The covector whose |u| distance_bound returns; see its docstring.
-    if target.x.shape != (sc.rank,) or target.z.shape != (sc.corank,):
-        raise DimensionMismatch("target dimensions do not match the structure")
+    return _at_unit_scale(_cut_locus_at_unit_scale, sc, target)
+
+
+def _cut_locus_at_unit_scale(sc, target: GroupPoint) -> Covector:
     if not np.any(target.x) and not np.any(target.z):
         raise IdentityTarget("the identity is at distance zero")
     zn = math.hypot(*target.z)
@@ -652,7 +711,8 @@ def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
     top block.  On Heisenberg this is sqrt(4 pi |z|).  Raises
     NoCandidateFound when the endpoint misses the target by more than
     1e-8 max(1, |target|): x does not vanish on the top block, or the lower
-    blocks alone overshoot |z|, where u_top = 0.
+    blocks alone overshoot |z|, where u_top = 0.  Targets far from unit
+    scale are handled as in :func:`log_map`.
     """
     return math.hypot(*_cut_locus_covector(sc, target).u)
 

@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedPositiveK,
     WitnessNotFound,
 )
-from .geodesics import _jacobian_core, _jacobian_factors
+from .geodesics import _dilation_exponent, _jacobian_core, _jacobian_factors
 from .quadrature import (
     NODE_BUDGET,
     mapped_rule,
@@ -432,9 +432,26 @@ def _ratios(sc, box: CovectorBox, ts, quad: int, moments, v_side: bool = False):
     return [t**sc.dim * num / den for t, num in zip(ts, nums)], v_sums
 
 
+def _moment_corners(sc, box: CovectorBox):
+    # (u_lo, u_hi, e): the u-corners times 2^-e, at unit scale.  The
+    # u-moments scale as |u|^(2p) times the box volume, so they would
+    # underflow or overflow on boxes far from unit scale; a power of two
+    # scales every moment exactly, so the ratios and the distortion averages
+    # keep their bits, and D_t is taken at the true |u| (_true_norm).
+    u_lo, u_hi = box.lower[:sc.rank], box.upper[:sc.rank]
+    e = _dilation_exponent(max(map(abs, u_lo.tolist() + u_hi.tolist())))
+    return np.ldexp(u_lo, -e), np.ldexp(u_hi, -e), e
+
+
+def _true_norm(norm, e):
+    # |u| from the norm of the u-corners times 2^-e; inf past the float range
+    with np.errstate(over="ignore"):
+        return np.ldexp(norm, e)
+
+
 def _contraction_ratios(sc, box: CovectorBox, ts, quad: int) -> list[float]:
     _require_quadrature(sc, box, quad)
-    u_lo, u_hi = box.lower[:sc.rank], box.upper[:sc.rank]
+    u_lo, u_hi, _ = _moment_corners(sc, box)
     return _ratios(sc, box, ts, quad, _u_moment_table(sc, u_lo, u_hi, quad)[:, 0])[0]
 
 
@@ -588,13 +605,15 @@ def _chebyshev_basis():
     return basis
 
 
-def _distortion_fit(u_lo, u_hi, K, N, ts):
+def _distortion_fit(u_lo, u_hi, K, N, ts, e=0):
     """Power coefficients in y of the truncated interpolants of D_t, per t.
 
-    Returns (coefficients (len(ts), degree + 1), (m_c, h)), with m_c the
-    midpoint of the range of u_c^2 on the box and h half the width of the
-    range of rho, so that y = sum_c (u_c^2 - m_c) / h; or None when some t
-    misses the error bound, and the u-grid must be summed instead.
+    The corners come times 2^-e from _moment_corners, and D_t is taken at
+    the true |u|.  Returns (coefficients (len(ts), degree + 1), (m_c, h)),
+    with m_c the midpoint of the range of u_c^2 on the box and h half the
+    width of the range of rho, both times 4^-e, so that y = sum_c
+    (u_c^2 - m_c) / h; or None when some t misses the error bound, and the
+    u-grid must be summed instead.
     """
     sq_lo, sq_hi = u_lo * u_lo, u_hi * u_hi
     top = np.maximum(sq_lo, sq_hi)
@@ -606,7 +625,7 @@ def _distortion_fit(u_lo, u_hi, K, N, ts):
     if not (h > 0.0 and np.all(np.isfinite(rho))):
         return None
     t_col = np.array(ts)[:, None]
-    a = math.sqrt(-K) / math.sqrt(N - 1.0) * np.sqrt(rho)
+    a = math.sqrt(-K) / math.sqrt(N - 1.0) * _true_norm(np.sqrt(rho), e)
     values = t_col * _sinh_ratio(t_col, a) ** (N - 1.0)
     least = values[:, -1]
     cheb = pairwise_sums(values[:, None, :-1] * rows)
@@ -622,16 +641,17 @@ def _distortion_fit(u_lo, u_hi, K, N, ts):
     return coefficients, (centers, h)
 
 
-def _grid_distortion_bounds(sc, u_lo, u_hi, K, N, ts, quad, v_side):
+def _grid_distortion_bounds(sc, u_lo, u_hi, e, K, N, ts, quad, v_side):
     # The distortion average summed over the quad^k u-grid:
     #   U_delta(t) = sum_u w q^delta D_t(|u|)
-    # and bound_t = sum V U(t) / sum V U(1), where D_1 = 1.
+    # and bound_t = sum V U(t) / sum V U(1), where D_1 = 1; the corners come
+    # times 2^-e from _moment_corners.
     u_pts, u_wts = tensor_grid(u_lo, u_hi, quad)
     q = np.stack([np.sum(u_pts[:, b.indices] ** 2, axis=1) for b in sc.blocks], axis=-1)
     monomials = np.stack([u_wts * np.prod(q ** np.array(delta), axis=-1)
                           for delta in _deltas(sc.corank, len(sc.blocks))])
     den = pairwise_sum(v_side * pairwise_sums(monomials))
-    a = math.sqrt(-K) / math.sqrt(N - 1.0) * np.linalg.norm(u_pts, axis=1)
+    a = math.sqrt(-K) / math.sqrt(N - 1.0) * _true_norm(np.linalg.norm(u_pts, axis=1), e)
     t_col = np.array(ts)[:, None]
     bounds = []
     for rows in _row_batches(len(ts), monomials.size):
@@ -651,8 +671,8 @@ def _curved_report(sc, box, K, N, ts, quad):
     # within _CHEB_TOL, U_delta(t) = sum_j a_j M[delta, j] from the moment
     # table; elsewhere the u-grid (quad^k nodes) is summed.
     _require_quadrature(sc, box, quad)
-    u_lo, u_hi = box.lower[:sc.rank], box.upper[:sc.rank]
-    fit = _distortion_fit(u_lo, u_hi, K, N, ts)
+    u_lo, u_hi, e = _moment_corners(sc, box)
+    fit = _distortion_fit(u_lo, u_hi, K, N, ts, e)
     if fit is None:
         require_node_budget(quad, sc.rank)
         moments = _u_moment_table(sc, u_lo, u_hi, quad)
@@ -662,7 +682,7 @@ def _curved_report(sc, box, K, N, ts, quad):
                                   interval)
     ratios, v_side = _ratios(sc, box, ts, quad, moments[:, 0], v_side=True)
     if fit is None:
-        return ratios, _grid_distortion_bounds(sc, u_lo, u_hi, K, N, ts, quad, v_side)
+        return ratios, _grid_distortion_bounds(sc, u_lo, u_hi, e, K, N, ts, quad, v_side)
     den = pairwise_sum(v_side * moments[:, 0])
     u_side = pairwise_sums(coefficients[:, None, :] * moments)
     return ratios, (pairwise_sums(u_side * v_side) / den).tolist()

@@ -14,6 +14,7 @@ governs which (rank, corank, spectrum) combinations are realizable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -179,20 +180,22 @@ class GroupSpec:
         object.__setattr__(self, "corank", int(self.corank))
         object.__setattr__(self, "kernel_dim", int(self.kernel_dim))
         if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+            raise ValueError(f"rank must be a positive integer, got {self.rank}")
         if self.corank < 1:
-            raise ValueError("corank must be at least 1")
+            raise ValueError(f"corank must be a positive integer, got {self.corank}")
         if self.kernel_dim < 0:
-            raise ValueError("kernel_dim must be non-negative")
+            raise ValueError(f"kernel_dim must be non-negative, got {self.kernel_dim}")
         if not spectrum:
             raise ValueError("spectrum must be non-empty (S must be non-zero)")
         alphas = [a for a, _ in spectrum]
-        if any(a <= 0 for a in alphas):
-            raise ValueError(f"spectrum values must be positive, got {alphas}")
+        # the comparison also rejects NaN
+        if not all(0.0 < a < math.inf for a in alphas):
+            raise ValueError(f"spectrum values must be finite positive reals, got {alphas}")
+        if any(m < 1 for _, m in spectrum):
+            raise ValueError("pair multiplicities must be positive integers, got "
+                             f"{[m for _, m in spectrum]}")
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise ValueError(f"spectrum values must be strictly increasing, got {alphas}")
-        if any(m < 1 for _, m in spectrum):
-            raise ValueError("pair multiplicities must be at least 1")
         expected = self.kernel_dim + 2 * sum(m for _, m in spectrum)
         if self.rank != expected:
             raise ValueError(
@@ -498,6 +501,10 @@ def structure_from_matrices(S, L, tol: float = 1e-12) -> StructureConstants:
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatch(f"S must be square or a diagonal vector, got {S.shape}")
     k = S.shape[0]
+    # Exact tests, where validate_structure tests to tol only: the blocks
+    # index eigenspaces by coordinates, and a diagonal entry of -1e-13 would
+    # pass at tol and reach GroupSpec as a negative alpha, a ValueError where
+    # the structure is invalid
     if np.any(S - np.diag(np.diagonal(S)) != 0.0):
         raise StructureInvalid("S must be exactly diagonal in explicit form")
     diag = np.diagonal(S)

@@ -1,6 +1,7 @@
 """Configuration parsing and the command line front end."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,7 +11,16 @@ import numpy as np
 import pytest
 
 import htcarnot.errors
-from htcarnot import ConfigError, SpecNotRealizable, cli, parse_config
+from htcarnot import (
+    ConfigError,
+    Covector,
+    GroupPoint,
+    SpecNotRealizable,
+    cli,
+    exp_map,
+    parse_config,
+)
+from htcarnot.geodesics import _LOG_ENDPOINT
 
 from conftest import edge_log_targets
 
@@ -102,6 +112,18 @@ def test_spectral_schema_errors(tmp_path, mutate, fragment):
     payload["spectrum"] = [dict(e) for e in SPECTRAL["spectrum"]]
     mutate(payload)
     with pytest.raises(ConfigError, match=fragment):
+        parse_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize("payload", [
+    {**SPECTRAL, "spectrum": [{"alpha": 10**400, "pair_multiplicity": 2}]},
+    {**SPECTRAL, "tolerance": 10**400},
+    {**EXPLICIT, "S_diagonal": [10**400, 10**400]},
+    {**EXPLICIT, "L_matrices": [[[0, 10**400], [-(10**400), 0]]]},
+], ids=["alpha", "tolerance", "S_diagonal", "L_matrices"])
+def test_integers_beyond_float_range_are_schema_errors(tmp_path, payload):
+    # float() of such a JSON integer raised OverflowError, a traceback
+    with pytest.raises(ConfigError):
         parse_config(write_config(tmp_path, payload))
 
 
@@ -386,6 +408,83 @@ def test_non_finite_inputs_exit_three(tmp_path, command, flag, value):
     assert res.returncode == 3
     assert "finite" in res.stderr
     assert not out.exists()
+
+
+# stderr prefix that main prints for each non-zero exit code (README, "Exit codes")
+STDERR_PREFIX = {1: "validation failure: ", 2: "property failure: ", 3: "error: "}
+TINY_BOX = "--box=1e-200,1e-200,0.5;2e-200,2e-200,0.6"
+# (x, z, exit code): each is a dilation of an ordinary target
+EXTREME_LOG_TARGETS = [("1e160,0", "1e300", 0), ("1,0", "1e308", 2), ("1e155,0", "1e155", 0)]
+
+
+def _alpha_config(tmp_path, alpha):
+    # json.dumps writes inf, -inf and nan as Infinity, -Infinity and NaN,
+    # which json.loads reads back
+    return write_config(tmp_path, {
+        "rank": 2, "corank": 1, "kernel_dim": 0,
+        "spectrum": [{"alpha": alpha, "pair_multiplicity": 1}],
+    })
+
+
+@pytest.mark.parametrize("argv, code", [
+    *[pytest.param([command, f"alpha={alpha}"] + (["--t-grid", "0.5"] if command == "mcp" else []),
+                   3, id=f"alpha-{alpha}-{command}")
+      for alpha in ("inf", "-inf", "nan") for command in ("validate", "mcp")],
+    pytest.param(["validate", "explicit", "--seed", "-3"], 3, id="seed-negative"),
+    pytest.param(["validate", "explicit", "--seed", str(2**64)], 3, id="seed-2**64"),
+    pytest.param(["exp", "--group", "heisenberg3", "--u", "1,0,0", "--v", "1"], 3,
+                 id="exp-u-count"),
+    pytest.param(["log", "--group", "heisenberg3", "--x", "1,0,0", "--z", "1"], 3,
+                 id="log-x-count"),
+    pytest.param(["mcp", "--group", "heisenberg3", "--box=1,1,1,1;2,2,2,2", "--t-grid", "0.5"],
+                 3, id="mcp-box-count"),
+    pytest.param(["mcp", "--group", "heisenberg3", "--box=a,b;1,2,3", "--t-grid", "0.5"],
+                 3, id="mcp-box-syntax"),
+    *[pytest.param(["mcp", "--group", "heisenberg3", TINY_BOX, "--t-grid", "0.5", f"--K={K}"],
+                   0, id=f"mcp-tiny-u-box-K{K}") for K in ("0", "-1")],
+    *[pytest.param(["log", "--group", "heisenberg3", f"--x={x}", f"--z={z}"], code,
+                   id=f"log-extreme-{x}-{z}") for x, z, code in EXTREME_LOG_TARGETS],
+    # the covector is representable but its length |u| is not
+    pytest.param(["log", "--group", "heisenberg3", "--x=1.7e308,1e308", "--z=1e300"], 3,
+                 id="log-length-overflow"),
+])
+def test_bad_and_extreme_inputs_exit_codes(tmp_path, argv, code):
+    # each check runs once, in the layer that owns it; no input gives a
+    # traceback or a numpy warning
+    def resolve(arg):
+        if arg == "explicit":
+            return str(write_config(tmp_path, EXPLICIT))
+        if arg.startswith("alpha="):
+            return str(_alpha_config(tmp_path, float(arg[6:])))
+        return arg
+    res = run_cli(*map(resolve, argv))
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+    if res.returncode == 0 or res.stdout.startswith("cut locus target"):
+        assert res.stderr == ""
+    else:
+        assert res.stderr.startswith(STDERR_PREFIX[res.returncode]), res.stderr
+
+
+@pytest.mark.parametrize("x, z, want", EXTREME_LOG_TARGETS)
+def test_log_at_extreme_scale_meets_its_target(heis, x, z, want, capsys):
+    # each target is a dilation of an ordinary one; exp of the printed
+    # covector must meet it at its own scale
+    code = cli.main(["log", "--group", "heisenberg3", f"--x={x}", f"--z={z}"])
+    out = capsys.readouterr().out
+    target = GroupPoint([float(c) for c in x.split(",")], [float(z)])
+    lines = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+    assert code == want
+    if code == 2:
+        bound = float(out.split("distance upper bound: ")[1])
+        # x lies on the top block, 1e-154 of the scale of z: sqrt(4 pi |z|)
+        assert bound == pytest.approx(math.sqrt(4.0 * math.pi) * math.sqrt(float(z)), rel=1e-15)
+        return
+    lam = Covector([float(c) for c in lines["u"].split(",")],
+                   [float(c) for c in lines["v"].split(",")])
+    gap = exp_map(heis, lam).as_vector() - target.as_vector()
+    assert math.hypot(*gap) <= _LOG_ENDPOINT * math.hypot(*target.as_vector())
+    assert float(lines["distance"]) == math.hypot(*lam.u)
 
 
 # documented exit code of every library error raised inside a subcommand

@@ -18,6 +18,7 @@ from htcarnot import (
     distance,
     distance_bound,
     exp_map,
+    geodesic_sample,
     multiply,
     homothety,
     log_map,
@@ -130,7 +131,6 @@ def test_distance_matches_covector_norm(group):
         lam = Covector(u, v)
         pt = exp_map(group, lam)
         d = distance(group, GroupPoint(np.zeros(group.rank), np.zeros(group.corank)), pt)
-        assert d.exact
         assert float(d) == pytest.approx(np.linalg.norm(u), rel=1e-9)
 
 
@@ -157,7 +157,6 @@ def test_heisenberg_vertical_distance_closed_form(heis):
     origin = GroupPoint(np.zeros(2), np.zeros(1))
     for z in (1.0, 0.25, 3.0):
         d = distance(heis, origin, GroupPoint([0.0, 0.0], [z]))
-        assert d.exact
         assert float(d) == pytest.approx(np.sqrt(4.0 * np.pi * z), abs=1e-12)
 
 
@@ -206,7 +205,7 @@ def test_cut_locus_endpoint_check_is_relative(contact, z):
     target = GroupPoint([0.3, -0.2, 0.0, 0.0], [z])
     d = distance(contact, GroupPoint(np.zeros(4), np.zeros(1)), target)
     lam = _cut_locus_covector(contact, target)
-    assert d.exact and d.value == math.hypot(*lam.u)
+    assert d.value == math.hypot(*lam.u)
     gap = exp_map(contact, lam).as_vector() - target.as_vector()
     assert np.linalg.norm(gap) <= 1e-14 * z
 
@@ -374,3 +373,57 @@ def test_log_respects_cut_time_boundary(heis):
     back = log_map(heis, inside)
     err = np.linalg.norm(back.as_vector() - lam.scale(0.999 * tc).as_vector())
     assert err <= 1e-7
+
+
+@pytest.mark.parametrize("z", [1e-20, 1e-100, 1e-180, 1e-300])
+def test_log_keeps_vertical_scale_far_below_x_squared(heis, z):
+    # the root r ~ 12 |z| / |x|^2 lies far below the bracket, where Newton's
+    # step r - (F - |z|)/F' cancels to 0; the secant from F(0) = 0 reaches it
+    # (it ended near r = 1e-46 by bisection, with exp's z off by 1e132 |z| at
+    # z = 1e-180)
+    x = np.array([0.5, 0.1])
+    lam = log_map(heis, GroupPoint(x, [z]))
+    assert lam.v[0] == pytest.approx(12.0 * z / (x @ x), rel=1e-12)
+    back = exp_map(heis, lam)
+    assert abs(back.z[0] - z) <= 1e-14 * z
+    assert np.array_equal(lam.u, x)
+
+
+def _dilate(p, e):
+    return GroupPoint(np.ldexp(p.x, e), np.ldexp(p.z, 2 * e))
+
+
+@pytest.mark.parametrize("e", [-450, 450, 511])
+def test_exp_and_log_are_dilation_equivariant_out_of_range(group, e):
+    # exp(2^e u, v) = delta_{2^e} exp(u, v) and log(delta_{2^e} p) = (2^e u, v),
+    # bit for bit, outside the band where nothing is dilated; at e = 511,
+    # |2^e u|^2 overflows for |u| > 2 (small v keeps z in range)
+    for u, v in seeded_covectors(group, 5, stream=21):
+        lam = Covector(u, 1e-3 * v)
+        far = Covector(np.ldexp(u, e), lam.v)
+        assert np.array_equal(exp_map(group, far).as_vector(),
+                              _dilate(exp_map(group, lam), e).as_vector())
+        back = log_map(group, _dilate(exp_map(group, lam), e))
+        unit = log_map(group, exp_map(group, lam))
+        assert np.array_equal(back.u, np.ldexp(unit.u, e))
+        assert np.array_equal(back.v, unit.v)
+    pts = geodesic_sample(group, far, [0.0, 0.5, 1.0])
+    assert np.array_equal(pts[-1].as_vector(), exp_map(group, far).as_vector())
+
+
+@pytest.mark.parametrize("e", [-505, 505])
+def test_cut_locus_distance_at_extreme_scale(contact, e):
+    # d(delta_eps p) = eps d(p) on the cut locus too
+    target = GroupPoint([0.3, -0.2, 0.0, 0.0], [1.5])
+    assert distance_bound(contact, _dilate(target, e)) == math.ldexp(
+        distance_bound(contact, target), e)
+
+
+def test_length_beyond_float_range_is_a_value_error(heis):
+    # the covector (u, v) is representable but |u| is not; log_map and
+    # distance refuse it alike instead of returning inf
+    target = GroupPoint([1.7e308, 1e308], [1e300])
+    with pytest.raises(ValueError, match="beyond the float range"):
+        log_map(heis, target)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        distance(heis, GroupPoint([0.0, 0.0], [0.0]), target)

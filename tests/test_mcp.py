@@ -724,3 +724,44 @@ def test_report_records_group_identity(heis):
     assert rep.group == repr(catalog_spec("heisenberg3"))
     assert rep.curvature == 0.0
     assert rep.n_claimed == 5.0
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0])
+def test_tiny_u_box_keeps_its_ratio(heis, K):
+    # the u-moments scale as |u|^(2p) times the box volume and underflowed
+    # to 0 (a ZeroDivisionError); the ratio is invariant under scaling u, and
+    # D_t -> t^N as |u| -> 0
+    ts = [0.2, 0.5, 0.8]
+    tiny = mcp_report(heis, K, 5.0, CovectorBox([1e-200, 1e-200, 0.5], [2e-200, 2e-200, 0.6]),
+                      ts, 8)
+    unit = mcp_report(heis, 0.0, 5.0, CovectorBox([1.0, 1.0, 0.5], [2.0, 2.0, 0.6]), ts, 8)
+    for got, want in zip(tiny.ratios, unit.ratios):
+        assert got == pytest.approx(want, rel=1e-14)
+    for got, t in zip(tiny.bounds, ts):
+        assert got == pytest.approx(t**5, rel=1e-13)
+
+
+@pytest.mark.parametrize("j", [-30, 7, 300])
+def test_flat_ratios_are_dilation_invariant_in_u(group, j):
+    # the u-corners are rescaled to unit scale by a power of two, and the
+    # ratio is invariant under scaling u, so dilating the u-corners by 2^j
+    # changes no bit of any ratio
+    ts = [0.2, 0.5, 0.8]
+    k = group.rank
+    for box in (default_box(group), sharpness_box(group)):
+        dilated = CovectorBox(np.concatenate((np.ldexp(box.lower[:k], j), box.lower[k:])),
+                              np.concatenate((np.ldexp(box.upper[:k], j), box.upper[k:])))
+        want = mcp_report(group, 0.0, geodesic_dimension(group.spec), box, ts, 5)
+        got = mcp_report(group, 0.0, geodesic_dimension(group.spec), dilated, ts, 5)
+        assert got.ratios == want.ratios
+
+
+def test_huge_u_box_has_no_nan(heis):
+    # the moments overflowed to inf, and the ratio and the K < 0 bound read nan
+    box = CovectorBox([1e200, 1e200, 0.5], [2e200, 2e200, 0.6])
+    unit = CovectorBox([1.0, 1.0, 0.5], [2.0, 2.0, 0.6])
+    flat = mcp_report(heis, 0.0, 5.0, box, [0.5], 8)
+    assert flat.ratios[0] == pytest.approx(mcp_report(heis, 0.0, 5.0, unit, [0.5], 8).ratios[0],
+                                           rel=1e-14)
+    curved = mcp_report(heis, -1.0, 5.0, box, [0.5], 8)
+    assert curved.ratios == flat.ratios and curved.bounds == (0.0,) and curved.passed

@@ -115,6 +115,26 @@ def test_spec_validation():
         GroupSpec(2, 0, ((1.0, 1),), 0)
 
 
+
+@pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan")])
+def test_spec_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="finite positive real"):
+        GroupSpec(2, 1, ((alpha, 1),), 0)
+    with pytest.raises(ValueError, match="finite positive real"):
+        GroupSpec(4, 1, ((1.0, 1), (alpha, 1)), 0)
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64, 1.5, True])
+def test_seed_outside_its_range_is_a_value_error(seed):
+    # one check, in the seeded streams, for every caller of a seed
+    with pytest.raises(ValueError, match=r">= 0 and < 2\*\*64"):
+        validate_structure(np.eye(2), J[None], seed=seed)
+
+
+def test_seed_range_ends_are_accepted():
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert validate_structure(np.eye(2), J[None], seed=seed).passed
+
 # ------------------------------------------------- the defining relations
 
 def test_defining_relation_on_random_pairs(group):
