@@ -54,6 +54,7 @@ from .mcp import (
     sharpness_witness,
 )
 from .quadrature import NODE_BUDGET
+from .randomness import check_seed
 from .structure import existence_check, validate_structure
 
 EXIT_OK = 0
@@ -334,6 +335,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked wherever --seed is given, also where no seed is drawn
+        if args.seed is not None:
+            check_seed(args.seed)
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code

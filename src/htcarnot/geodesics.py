@@ -4,11 +4,19 @@ S is diagonal and L_v squares to -|v|^2 S^2, so every analytic function of
 L_v acts on horizontal coordinate c as even(theta_c) + odd(theta_c) L_v,
 with the per-coordinate angle theta_c = s_c |v| (s = diag S).  On ker S,
 theta_c = 0 and L_v vanishes.  Everything here therefore reduces to scalar
-functions of these angles, evaluated on all coordinates at once.  Each
-scalar helper whose direct form cancels near 0 switches to its Taylor
-series below theta = 0.5, so all removable singularities at v = 0 evaluate
-to their exact limits and both sides of the switch are accurate to a few
-units in the last place.
+functions of these angles, evaluated on all coordinates at once.
+
+One kernel, :func:`_half_angle`, evaluates them: sinc(theta/2), h3(theta) =
+(theta - sin theta)/theta^3 and the Jacobian's tau(theta), from one sin/cos
+pair at theta/2 under one branch decision.  It switches to Taylor series
+below theta = 0.5, so all removable singularities at v = 0 evaluate to
+their exact limits and both sides of the switch are accurate to a few units
+in the last place.  Each caller derives its factors from the triple: exp
+and f(L_v)^-1 take sinc(theta) = sinc(theta/2) cos(theta/2) and the odd
+part -sinc(theta/2)^2 / 2 of f; exp's vertical part, the vertical reach and
+the cut-locus coefficient take h3; the Jacobian takes all three.  The one
+exception is log_map's F and F' (:func:`unit_reach`, :func:`unit_reach_slope`),
+see there.
 """
 
 from __future__ import annotations
@@ -42,9 +50,14 @@ _SMALL_THETA = 0.5
 # weights that multiply the squares.
 _SCALE_BAND = (2.0**-400, 2.0**400)
 
-# Taylor coefficients of sinc, of h3 = (theta - sin theta)/theta^3 (so also
-# of (1 - sinc)/theta^2), both in theta^2, and of (1 - x cot x)/x^2 in x^2;
-# at |theta| < 0.5 the first omitted term is below 1e-17 relative
+# From this angle on, sin(theta)/theta is below 6e-20, so (theta - sin theta)
+# / theta^2 rounds to 1/theta; far below the angles near 7e102 where the
+# cube in h3 overflows
+_LARGE_ANGLE = 2.0**64
+
+# Taylor coefficients of sinc and of h3 = (theta - sin theta)/theta^3, both in
+# theta^2, and of (1 - x cot x)/x^2 in x^2; at |theta| < 0.5 the first
+# omitted term is below 1e-17 relative
 _SINC_SERIES = (1.0, -1.0 / 6, 1.0 / 120, -1.0 / 5040, 1.0 / 362880, -1.0 / 39916800,
                 1.0 / 6227020800, -1.0 / 1307674368000)
 _H3_SERIES = (1.0 / 6, -1.0 / 120, 1.0 / 5040, -1.0 / 362880, 1.0 / 39916800,
@@ -64,10 +77,11 @@ _REACH_SLOPE_SERIES = (1.0 / 12, 1.0 / 120, 1.0 / 2016, 1.0 / 43200, 1.0 / 10644
 
 def _switch(theta, direct: Callable, series: Callable):
     # Evaluate `direct` away from 0 and `series` below the cancellation
-    # threshold; `direct` never sees 0.  One count of the small angles picks
-    # the branch, so only a mixed array evaluates both.  For an array theta
-    # both may return a tuple of arrays, which comes back stacked on a new
-    # first axis.
+    # threshold.  One count of the small angles picks the branch, so only a
+    # mixed array evaluates both, each on its own entries: `direct` never
+    # sees 0, and `series` never sees a large angle, where its powers would
+    # overflow.  Both may return a tuple of arrays, which a mixed array gets
+    # back stacked on a new first axis, and a 0-d theta as a tuple of floats.
     th = np.asarray(theta, dtype=np.float64)
     small = np.abs(th) < _SMALL_THETA
     count = np.count_nonzero(small)
@@ -76,42 +90,56 @@ def _switch(theta, direct: Callable, series: Callable):
     elif count == th.size:
         out = series(th)
     else:
-        out = np.where(small, series(th), direct(np.where(small, 1.0, th)))
-    return float(out) if th.ndim == 0 else out
+        near, far = np.asarray(series(th[small])), np.asarray(direct(th[~small]))
+        out = np.empty(near.shape[:-1] + th.shape)
+        out[..., small] = near
+        out[..., ~small] = far
+    if th.ndim:
+        return out
+    return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
 
 
-def sinc(theta):
-    """sin(theta)/theta with the limit 1 at 0."""
-    return _switch(theta, lambda t: np.sin(t) / t, lambda t: _poly(t, *_SINC_SERIES))
+def _half_angle_direct(t):
+    # sinc(t/2), h3(t) and tau(t) from one sin/cos pair at x = t/2, with
+    # t - sin t = 2 (x - sin x cos x)
+    x = 0.5 * t
+    sin, cos = np.sin(x), np.cos(x)
+    quad = 4.0 * x * x
+    return sin / x, (x - sin * cos) / (quad * x), (sin - x * cos) / (quad * sin)
 
 
-def cos_minus_one_over_sq(theta):
-    """(cos(theta) - 1)/theta^2 with the limit -1/2 at 0.
+def _half_angle_series(t):
+    x = 0.5 * t
+    return _poly(x, *_SINC_SERIES), _poly(t, *_H3_SERIES), 0.25 * _poly(x, *_COT_SERIES)
 
-    Evaluated as -sinc(theta/2)^2 / 2, which does not cancel near 0 or near
-    2 pi, where cos(theta) - 1 vanishes.
+
+def _half_angle(theta):
+    """The kernel: sinc(theta/2), h3(theta) and tau(theta) at the angles theta.
+
+    h3(theta) = (theta - sin theta)/theta^3 with the limit 1/6 at 0, and
+    tau(theta) = (sin x - x cos x) / (4 x^2 sin x) at x = theta/2, with the
+    limit 1/12 at 0, finite and positive on [0, 2 pi).  All three come from
+    one sin/cos pair at theta/2, under one branch decision.  Beyond theta of
+    about 7e102 the cube in h3 overflows to h3 = 0; only exp goes there, and
+    it does not use h3 at those angles.
     """
-    return -0.5 * sinc(0.5 * np.asarray(theta, dtype=np.float64)) ** 2
+    return _switch(theta, _half_angle_direct, _half_angle_series)
 
 
-def one_minus_sinc(theta):
-    """1 - sin(theta)/theta; vanishes to second order at 0."""
-    return _switch(
-        theta,
-        lambda t: 1.0 - np.sin(t) / t,
-        lambda t: t * t * _poly(t, *_H3_SERIES),
-    )
+def _f_parts(theta):
+    # sinc(theta), the even part of f(L_v) = (1 - e^-L_v)/L_v, with the
+    # kernel's sinc(theta/2) and h3(theta); the odd part of f is
+    # (cos theta - 1)/theta^2 = -sinc(theta/2)^2 / 2, which does not cancel
+    # near 0 or near 2 pi
+    sinc_half, h3, _ = _half_angle(theta)
+    return sinc_half * np.cos(0.5 * theta), sinc_half, h3
 
 
-def theta_minus_sin_over_cube(theta):
-    """(theta - sin(theta))/theta^3 with the limit 1/6 at 0."""
-    return _switch(
-        theta,
-        lambda t: (t - np.sin(t)) / (t * t * t),
-        lambda t: _poly(t, *_H3_SERIES),
-    )
-
-
+# F and F' of log_map stay separate closed forms of their own: its 64-point
+# scan makes one call per radius, where numpy call overhead bounds the cost,
+# and phi derived from the kernel's triple nearly doubled the cost of a scan
+# step (15.0 against 27.9 us on htype4x3, 2-vCPU VM).  They fold into the kernel once
+# the scan is gone (ROADMAP item 2).
 def _unit_reach_direct(t):
     x = 0.5 * t
     sin = np.sin(x)
@@ -155,42 +183,6 @@ def _poly(t, *coeffs):
     for c in coeffs[-3::-1]:
         acc = acc * t2 + c
     return acc
-
-
-@dataclass(frozen=True)
-class AnalyticPair:
-    """Even/odd scalar decomposition of an analytic function of L_v.
-
-    On horizontal coordinate c, with angle theta_c = s_c |v|, the matrix
-    function acts as even_part(theta_c) * I + odd_part(theta_c) * L_v.
-    """
-
-    name: str
-    even_part: Callable
-    odd_part: Callable
-
-
-def _zero(theta):
-    th = np.asarray(theta, dtype=np.float64)
-    return 0.0 if th.ndim == 0 else np.zeros_like(th)
-
-
-def _cos(theta):
-    th = np.asarray(theta, dtype=np.float64)
-    out = np.cos(th)
-    return float(out) if out.ndim == 0 else out
-
-
-def _neg_sinc(theta):
-    return -sinc(theta)
-
-
-# (1 - e^-z)/z: the endpoint map for the horizontal coordinates
-F_PAIR = AnalyticPair("f", sinc, cos_minus_one_over_sq)
-# 1 - sinh(z)/z: the quadratic form giving the vertical coordinates; even
-G_PAIR = AnalyticPair("g", one_minus_sinc, _zero)
-# e^-z: the momentum flow h_x(t) = expneg(t L_v) u
-EXP_NEG_PAIR = AnalyticPair("exp-neg", _cos, _neg_sinc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,43 +231,43 @@ def _check_covector(sc, lam: Covector):
         )
 
 
-def apply_analytic(sc: StructureConstants, v, fn: AnalyticPair, w) -> np.ndarray:
-    """Evaluate fn(L_v) w as even(theta) w + odd(theta) L_v w, theta = s |v|."""
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    # a public entry point that takes raw arrays, so it owns their shape check
-    if v.shape != (sc.corank,) or w.shape != (sc.rank,):
-        raise DimensionMismatch(
-            f"shapes v{v.shape}, w{w.shape}; expected ({sc.corank},), ({sc.rank},)"
-        )
-    theta = sc.s_diag * float(np.linalg.norm(v))
-    return fn.even_part(theta) * w + fn.odd_part(theta) * (l_of_v(sc, v) @ w)
-
-
 def _exp_rows(sc, u, v):
     # exp at the covectors (u_i, v_i), the rows of u (m, k) and v (m, p).
     # Only elementwise products and row sums are used, so the bits of a row
     # do not depend on the other rows: geodesic_sample matches exp_map.
-    # z = (1/2) sum_c s_c^2 h3(theta_c) u_c^2 v, the sum of _vertical_reach;
-    # + 0.0 turns the -0.0 of t = 0 rows (t u and t v) into 0.0 in x and z.
-    # On ker S, f(L_v) is the identity and s_c^2 = 0, so the scalar helpers
-    # only see the coordinates with s_c > 0.  u is dilated to unit scale
-    # first, so that its squares stay in the normal range (see _SCALE_BAND).
+    # With vhat = v/|v| (0 at v = 0) every factor is bounded at every finite
+    # angle:
+    #     x = sinc(theta) u - (1/2) sinc(theta/2) (sinc(theta/2) |v|) L_vhat u
+    #     z = (1/2) sum_c s_c (theta_c h3(theta_c)) u_c^2 vhat,
+    # and z is the sum of _vertical_reach.  theta h3(theta) = (theta -
+    # sin theta)/theta^2 is taken as 1/theta from _LARGE_ANGLE on.  + 0.0 turns the -0.0 of t = 0 rows (t u and
+    # t v) into 0.0 in x and z.  On ker S, f(L_v) is the identity and
+    # s_c = 0, so the kernel only sees the coordinates with s_c > 0.  u is
+    # dilated to unit scale first, so that its squares stay in the normal
+    # range (see _SCALE_BAND); |v| is a chain of hypot, which squares nothing.
     e = _dilation_exponent(float(np.abs(u).max())) if u.size else 0
     u = np.ldexp(u, -e)
+    vn = np.hypot.reduce(np.abs(v), axis=1, keepdims=True)
+    vhat = v / np.where(vn > 0.0, vn, 1.0)
     pos = sc.s_positive
     s = sc.s_diag[pos]
-    theta = np.linalg.norm(v, axis=1, keepdims=True) * s
-    lv = np.sum(v[:, :, None, None] * sc.L, axis=1)
-    lu = np.sum(lv * u[:, None, :], axis=2)
-    up = u[:, pos]
-    x = u.copy()
-    x[:, pos] = F_PAIR.even_part(theta) * up + F_PAIR.odd_part(theta) * lu[:, pos]
-    reach = np.sum((s * s * theta_minus_sin_over_cube(theta)) * (up * up), axis=1,
-                   keepdims=True)
-    # an endpoint beyond the float range becomes inf, which GroupPoint rejects
+    # h3's cube may overflow (to h3 = 0, unused there), and an endpoint
+    # beyond the float range becomes inf, which GroupPoint rejects
     with np.errstate(over="ignore"):
-        x, z = np.ldexp(x, e), np.ldexp(0.5 * reach * v, 2 * e)
+        theta = vn * s
+        top = float(theta.max(initial=0.0))
+        if not math.isfinite(top):
+            raise ValueError("the angles s_c |v| of the covector are beyond the float range")
+        sinc, sinc_half, h3 = _f_parts(theta)
+        rise = theta * h3
+        if top >= _LARGE_ANGLE:
+            rise = np.divide(1.0, theta, out=rise, where=theta >= _LARGE_ANGLE)
+        lu = np.sum(np.sum(vhat[:, :, None, None] * sc.L, axis=1) * u[:, None, :], axis=2)
+        up = u[:, pos]
+        x = u.copy()
+        x[:, pos] = sinc * up - 0.5 * sinc_half * (sinc_half * vn) * lu[:, pos]
+        reach = np.sum(s * rise * (up * up), axis=1, keepdims=True)
+        x, z = np.ldexp(x, e), np.ldexp(0.5 * reach * vhat, 2 * e)
     return x + 0.0, z + 0.0
 
 
@@ -284,9 +276,11 @@ def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
 
     The horizontal part is f(L_v) u with f(z) = (1 - e^-z)/z; the vertical
     part is the quadratic form (g(L_v) u . u) / (2 |v|^2) times v, with
-    g(z) = 1 - sinh(z)/z, evaluated as (1/2) sum_c s_c^2 h3(theta_c) u_c^2
-    times v (h3 = theta_minus_sin_over_cube).  Total and smooth on all of
-    R^k x R^p.
+    g(z) = 1 - sinh(z)/z, evaluated as (1/2) sum_c s_c theta_c h3(theta_c)
+    u_c^2 times v/|v|, with h3(theta) = (theta - sin theta)/theta^3.  Total
+    and smooth on all of R^k x R^p: every factor is bounded at every finite
+    angle theta_c = s_c |v|.  Raises ValueError only where such an angle is
+    beyond the float range.
     """
     _check_covector(sc, lam)
     x, z = _exp_rows(sc, lam.u[None], lam.v[None])
@@ -310,31 +304,15 @@ def hamiltonian(lam: Covector) -> float:
     return 0.5 * float(lam.u @ lam.u)
 
 
-def _half_angle_direct(t):
-    # sinc(t/2), h3(t) and tau(t) from one sin/cos pair at x = t/2, with
-    # t - sin t = 2 (x - sin x cos x)
-    x = 0.5 * t
-    sin, cos = np.sin(x), np.cos(x)
-    return sin / x, (x - sin * cos) / (4.0 * x * x * x), (sin - x * cos) / (4.0 * x * x * sin)
-
-
-def _half_angle_series(t):
-    x = 0.5 * t
-    return _poly(x, *_SINC_SERIES), _poly(t, *_H3_SERIES), 0.25 * _poly(x, *_COT_SERIES)
-
-
 def _jacobian_factors(alphas, pair_mults, theta):
     """The factors of J at block angles theta (..., d), theta_j = alpha_j |v|.
 
     Returns pref = prod_j sinc(theta_j/2)^(2 m_j) of shape (...,) and the
     per-block weights a_j = (1/2) alpha_j^2 h3(theta_j) and
-    b_j = alpha_j^2 tau(theta_j) of shape (..., d), with
-    h3 = theta_minus_sin_over_cube and tau(theta) = (sin x - x cos x) /
-    (4 x^2 sin x) at x = theta/2, limit 1/12 at 0, finite and positive on
-    [0, 2 pi).  The three scalar factors come from one sin/cos pair at
-    theta/2, under one branch decision.
+    b_j = alpha_j^2 tau(theta_j) of shape (..., d), from the kernel
+    :func:`_half_angle`.
     """
-    sinc_half, h3, tau = _switch(theta, _half_angle_direct, _half_angle_series)
+    sinc_half, h3, tau = _half_angle(theta)
     pref = np.prod(sinc_half ** (2 * pair_mults), axis=-1)
     return pref, 0.5 * alphas**2 * h3, alphas**2 * tau
 
@@ -362,7 +340,7 @@ def jacobian(sc: StructureConstants, lam: Covector) -> float:
     Strictly positive iff S u != 0; equals (|S u|^2 / 12)^p at v = 0.
     """
     _check_covector(sc, lam)
-    vn = float(np.linalg.norm(lam.v))
+    vn = math.hypot(*lam.v)
     if vn >= sc.first_conjugate_radius:
         raise OutOfDomain(
             f"|v| = {vn:.6g} is not below the first conjugate radius "
@@ -384,7 +362,7 @@ def cut_time(sc: StructureConstants, lam: Covector) -> float:
     if not np.any(lam.u) and not np.any(lam.v):
         raise ZeroCovector("the zero covector has no geodesic")
     su = sc.s_diag * lam.u
-    vn = float(np.linalg.norm(lam.v))
+    vn = math.hypot(*lam.v)
     if vn == 0.0 or not np.any(su):
         return float("inf")
     return 2.0 * np.pi / (sc.alpha_max * vn)
@@ -394,7 +372,7 @@ def in_injectivity_domain(sc: StructureConstants, lam: Covector) -> bool:
     """Membership in D = { |v| < 2 pi / alpha_max and S u != 0 }, with exact tests."""
     _check_covector(sc, lam)
     su = sc.s_diag * lam.u
-    vn = float(np.linalg.norm(lam.v))
+    vn = math.hypot(*lam.v)
     return bool(np.any(su)) and vn < sc.first_conjugate_radius
 
 
@@ -408,14 +386,14 @@ def is_abnormal(sc: StructureConstants, lam: Covector) -> bool:
 
 def _apply_f_inverse(sc, vn, x, lx):
     # f(L_v)^{-1} x from |v| and lx = L_v x, by the inverted even/odd pair:
-    # f has even part E = sinc, odd part O = cos_minus_one_over_sq =
-    # -h/2 with h = sinc(theta/2)^2, and E^2 + theta^2 O^2 = h > 0 for
+    # f has even part E = sinc(theta) and odd part O = -h/2 with
+    # h = sinc(theta/2)^2 (_f_parts), and E^2 + theta^2 O^2 = h > 0 for
     # theta < 2 pi.  On ker S theta = 0, where E = h = 1.
     pos = sc.s_positive
-    theta = vn * sc.s_diag[pos]
-    h = sinc(0.5 * theta) ** 2
+    sinc, sinc_half, _ = _f_parts(vn * sc.s_diag[pos])
+    h = sinc_half**2
     u = x + 0.5 * lx
-    u[pos] = (sinc(theta) * x[pos] + 0.5 * h * lx[pos]) / h
+    u[pos] = (sinc * x[pos] + 0.5 * h * lx[pos]) / h
     return u
 
 
@@ -425,7 +403,8 @@ def _vertical_reach(sc, u, r):
     pos = sc.s_positive
     s = sc.s_diag[pos]
     up = u[pos]
-    return 0.5 * r * float((s * s * theta_minus_sin_over_cube(r * s)) @ (up * up))
+    _, h3, _ = _half_angle(r * s)
+    return 0.5 * r * float((s * s * h3) @ (up * up))
 
 
 def _reach(s, a, b, r, slope=False):
@@ -467,7 +446,8 @@ def _momentum_at(sc, x, zn, vhat, r):
     m0 = math.hypot(*u_top)
     u[top] = 0.0
     alpha = sc.alpha_max
-    c = 0.5 * r * alpha**2 * theta_minus_sin_over_cube(alpha * r)
+    _, h3, _ = _half_angle(alpha * r)
+    c = 0.5 * r * alpha**2 * h3
     top2 = (zn - _vertical_reach(sc, u, r)) / c
     sigma = float(np.sin(0.5 * alpha * min(r, sc.first_conjugate_radius - r)))
     sigma /= 0.5 * alpha * r
@@ -707,7 +687,7 @@ def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
         |u_top|^2 = (|z| - (R/2) sum_lower alpha_j^2 h3(alpha_j R) |u_j|^2)
                     / ((R/2) alpha_max^2 h3(2 pi))
 
-    with h3 = theta_minus_sin_over_cube; u_top lies on the first axis of the
+    with h3(theta) = (theta - sin theta)/theta^3; u_top lies on the first axis of the
     top block.  On Heisenberg this is sqrt(4 pi |z|).  Raises
     NoCandidateFound when the endpoint misses the target by more than
     1e-8 max(1, |target|): x does not vanish on the top block, or the lower

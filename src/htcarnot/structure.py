@@ -28,7 +28,6 @@ from .randomness import DEFAULT_SEED, generator, unit_vector
 # Pauli-type matrices.
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-_P2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Q2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,24 @@ def degenerate():
 def group(request):
     """Parametrized over the whole catalog."""
     return catalog_structure(request.param)
+
+
+def matrix_series(coeff, A, terms=64):
+    """sum_m coeff(m) A^m, summed until float convergence."""
+    n = A.shape[0]
+    out = coeff(0) * np.eye(n)
+    power = np.eye(n)
+    for m in range(1, terms):
+        power = power @ A
+        c = coeff(m)
+        if c != 0.0:
+            out += c * power
+    return out
+
+
+def oracle_exp_neg(A):
+    """e^-A as its matrix series."""
+    return matrix_series(lambda m: (-1.0) ** m / math.factorial(m), A)
 
 
 def seeded_covectors(sc, count, stream, vmax_frac=0.95, su_min=0.1):

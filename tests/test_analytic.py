@@ -1,21 +1,20 @@
-"""The even/odd functional calculus against brute-force matrix series."""
+"""The functions of L_v against brute-force matrix series, and the factors
+that the callers derive from the one half-angle kernel against exact values."""
 
 from fractions import Fraction
+from math import factorial
 
+import mpmath
 import numpy as np
 import pytest
 
-from htcarnot import (
-    EXP_NEG_PAIR,
-    F_PAIR,
-    G_PAIR,
-    apply_analytic,
-    l_of_v,
-)
+from htcarnot import Covector, exp_map, l_of_v
 from htcarnot.geodesics import (
     _SINC_SERIES,
     _SMALL_THETA,
     _apply_f_inverse,
+    _f_parts,
+    _half_angle,
     _jacobian_factors,
     _poly,
     _switch,
@@ -23,39 +22,20 @@ from htcarnot.geodesics import (
     _unit_reach_series,
     _unit_reach_slope_direct,
     _unit_reach_slope_series,
-    cos_minus_one_over_sq,
-    one_minus_sinc,
-    sinc,
-    theta_minus_sin_over_cube,
     unit_reach,
     unit_reach_slope,
 )
 
-from conftest import seeded_covectors
-
-
-def matrix_series(coeff, A, terms=64):
-    """sum_m coeff(m) A^m, summed until float convergence."""
-    n = A.shape[0]
-    out = coeff(0) * np.eye(n)
-    power = np.eye(n)
-    for m in range(1, terms):
-        power = power @ A
-        c = coeff(m)
-        if c != 0.0:
-            out += c * power
-    return out
+from conftest import matrix_series, oracle_exp_neg, seeded_covectors
 
 
 def oracle_f(A):
     # (1 - e^-z)/z = sum (-1)^m z^m / (m+1)!
-    from math import factorial
     return matrix_series(lambda m: (-1.0) ** m / factorial(m + 1), A)
 
 
 def oracle_g(A):
     # 1 - sinh(z)/z, even series
-    from math import factorial
     def coeff(m):
         if m == 0 or m % 2 == 1:
             return 0.0
@@ -63,45 +43,85 @@ def oracle_g(A):
     return matrix_series(coeff, A)
 
 
-def oracle_exp_neg(A):
-    from math import factorial
-    return matrix_series(lambda m: (-1.0) ** m / factorial(m), A)
+# each row: the library's value at (v, w) and its matrix-series oracle
+def exp_x(sc, v, w):
+    # x = f(L_v) w
+    return exp_map(sc, Covector(w, v)).x
 
 
-def oracle_f_inverse(A):
-    return np.linalg.inv(oracle_f(A))
+def exp_z(sc, v, w):
+    # z = (g(L_v) w . w) / (2 |v|^2) v
+    return exp_map(sc, Covector(w, v)).z
 
 
-def pair_applier(pair):
-    return lambda sc, v, w: apply_analytic(sc, v, pair, w)
+def exp_neg_from_exp(sc, v, w):
+    # e^-z = 1 - z f(z), so e^-L_v w = w - L_v x
+    return w - l_of_v(sc, v) @ exp_x(sc, v, w)
 
 
 def apply_f_inverse(sc, v, w):
     return _apply_f_inverse(sc, np.linalg.norm(v), w, l_of_v(sc, v) @ w)
 
 
+def series_f(sc, v, w):
+    return oracle_f(l_of_v(sc, v)) @ w
+
+
+def series_g(sc, v, w):
+    return (oracle_g(l_of_v(sc, v)) @ w @ w) / (2.0 * (v @ v)) * v
+
+
+def series_exp_neg(sc, v, w):
+    return oracle_exp_neg(l_of_v(sc, v)) @ w
+
+
+def series_f_inverse(sc, v, w):
+    return np.linalg.inv(oracle_f(l_of_v(sc, v))) @ w
+
+
 @pytest.mark.parametrize("apply,oracle", [
-    (pair_applier(F_PAIR), oracle_f),
-    (pair_applier(G_PAIR), oracle_g),
-    (pair_applier(EXP_NEG_PAIR), oracle_exp_neg),
-    (apply_f_inverse, oracle_f_inverse),
+    (exp_x, series_f),
+    (exp_z, series_g),
+    (exp_neg_from_exp, series_exp_neg),
+    (apply_f_inverse, series_f_inverse),
 ], ids=["f", "g", "exp-neg", "f-inv"])
 def test_pairs_match_matrix_series(group, apply, oracle):
     rng = np.random.default_rng(21)
     for u, v in seeded_covectors(group, 10, stream=3):
-        mat = oracle(l_of_v(group, v))
         w = rng.standard_normal(group.rank)
-        expected = mat @ w
+        expected = oracle(group, v, w)
         got = apply(group, v, w)
         assert np.max(np.abs(got - expected)) <= 1e-10
 
 
 def test_pairs_at_zero_momentum(group):
+    # at v = 0, f and f^-1 are the identity, g vanishes and e^-L_v = 1, exactly
     w = np.arange(1.0, group.rank + 1.0)
     zero = np.zeros(group.corank)
-    assert np.array_equal(apply_analytic(group, zero, F_PAIR, w), w)
-    assert np.array_equal(apply_analytic(group, zero, G_PAIR, w), np.zeros_like(w))
-    assert np.array_equal(apply_analytic(group, zero, EXP_NEG_PAIR, w), w)
+    assert np.array_equal(exp_x(group, zero, w), w)
+    assert np.array_equal(exp_z(group, zero, w), zero)
+    assert np.array_equal(exp_neg_from_exp(group, zero, w), w)
+    assert np.array_equal(_apply_f_inverse(group, 0.0, w, np.zeros_like(w)), w)
+
+
+def _scalar(fn):
+    # fn on an array of angles; a float angle gives a float
+    def factor(theta):
+        th = np.asarray(theta, dtype=np.float64)
+        out = fn(th)
+        return float(out) if th.ndim == 0 else out
+
+    return factor
+
+
+# the factors of exp and f(L_v)^-1, derived from the kernel as those callers
+# derive them: sinc(theta) and the odd part (cos theta - 1)/theta^2 of f, the
+# even part 1 - sinc(theta) = theta (theta h3(theta)) of g, and h3 itself,
+# which the vertical reach and the cut-locus coefficient take
+sinc = _scalar(lambda th: _f_parts(th)[0])
+cos_minus_one_over_sq = _scalar(lambda th: -0.5 * _f_parts(th)[1] ** 2)
+one_minus_sinc = _scalar(lambda th: th * (th * _f_parts(th)[2]))
+h3 = _scalar(lambda th: _half_angle(th)[1])
 
 
 def _factor(index):
@@ -109,13 +129,11 @@ def _factor(index):
     # m = 1/2: pref = sinc(theta/2), a = h3(theta)/2 and b = tau(theta)
     scale = (1.0, 2.0, 1.0)[index]
 
-    def factor(theta):
-        th = np.asarray(theta, dtype=np.float64)
+    def factor(th):
         out = _jacobian_factors(np.ones(1), 0.5, th[..., None])[index]
-        out = scale * (out if index == 0 else out[..., 0])
-        return float(out) if th.ndim == 0 else out
+        return scale * (out if index == 0 else out[..., 0])
 
-    return factor
+    return _scalar(factor)
 
 
 factor_tau = _factor(2)
@@ -127,8 +145,7 @@ def test_scalar_helpers_reference_values():
     assert sinc(th) == pytest.approx(np.sin(th) / th, rel=1e-15)
     assert one_minus_sinc(th) == pytest.approx(1 - np.sin(th) / th, rel=1e-15)
     assert cos_minus_one_over_sq(th) == pytest.approx((np.cos(th) - 1) / th**2, rel=1e-15)
-    assert theta_minus_sin_over_cube(th) == pytest.approx((th - np.sin(th)) / th**3,
-                                                          rel=1e-15)
+    assert h3(th) == pytest.approx((th - np.sin(th)) / th**3, rel=1e-15)
     x = th / 2
     expected = (np.sin(x) - x * np.cos(x)) / (4 * x * x * np.sin(x))
     assert factor_tau(th) == pytest.approx(expected, rel=1e-15)
@@ -138,7 +155,7 @@ def test_scalar_helpers_limits_at_zero():
     assert sinc(0.0) == 1.0
     assert one_minus_sinc(0.0) == 0.0
     assert cos_minus_one_over_sq(0.0) == -0.5
-    assert theta_minus_sin_over_cube(0.0) == pytest.approx(1.0 / 6.0, abs=1e-18)
+    assert h3(0.0) == pytest.approx(1.0 / 6.0, abs=1e-18)
     assert factor_tau(0.0) == pytest.approx(1.0 / 12.0, abs=1e-18)
     assert unit_reach(0.0) == 0.0
     assert unit_reach_slope(0.0) == 1.0 / 12.0
@@ -158,7 +175,7 @@ def _taylor(theta, coeffs):
     (sinc, [1.0, -1 / 6, 1 / 120, -1 / 5040]),
     (one_minus_sinc, [0.0, 1 / 6, -1 / 120, 1 / 5040]),
     (cos_minus_one_over_sq, [-0.5, 1 / 24, -1 / 720, 1 / 40320]),
-    (theta_minus_sin_over_cube, [1 / 6, -1 / 120, 1 / 5040, -1 / 362880]),
+    (h3, [1 / 6, -1 / 120, 1 / 5040, -1 / 362880]),
     (factor_tau, [1 / 12, 1 / 720, 1 / 30240, 1 / 1209600]),
 ], ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau"])
 def test_series_branch_accuracy_across_switch(fn, coeffs):
@@ -169,8 +186,7 @@ def test_series_branch_accuracy_across_switch(fn, coeffs):
         assert fn(th) == pytest.approx(ref, rel=1e-15)
 
 
-@pytest.mark.parametrize("fn", [sinc, one_minus_sinc, cos_minus_one_over_sq,
-                                theta_minus_sin_over_cube, factor_tau,
+@pytest.mark.parametrize("fn", [sinc, one_minus_sinc, cos_minus_one_over_sq, h3, factor_tau,
                                 unit_reach, unit_reach_slope, _factor(0), _factor(1)],
                          ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau", "phi",
                               "phi-slope", "factor-sinc-half", "factor-h3"])
@@ -181,23 +197,21 @@ def test_branch_switch_is_smooth_without_cancellation(fn):
     assert np.max(np.abs(second)) < 1e-11
 
 
+def _fraction(value):
+    # an mpmath float as the exact fraction it represents
+    return int(mpmath.sign(value)) * Fraction(int(value.man)) * Fraction(2) ** int(value.exp)
+
+
 def _fraction_sin_cos(theta):
-    # sin and cos of the float theta as exact 40-term Taylor sums; the
-    # truncation is below 1e-45 relative on (0, 2 pi)
-    x = Fraction(theta)
-    sin, cos, term = Fraction(0), Fraction(0), Fraction(1)
-    for n in range(80):
-        if n % 2 == 0:
-            cos += (-1) ** (n // 2) * term
-        else:
-            sin += (-1) ** (n // 2) * term
-        term = term * x / (n + 1)
-    return sin, cos
+    # sin and cos of the float theta to 60 digits, as exact fractions
+    with mpmath.workdps(60):
+        x = mpmath.mpf(theta)
+        return _fraction(mpmath.sin(x)), _fraction(mpmath.cos(x))
 
 
 def _reference(theta):
-    # the six helpers and the three factors of J from their defining
-    # expressions, in exact arithmetic
+    # the derived factors, log's phi and phi' and the three factors of J from
+    # their defining expressions, in exact arithmetic
     t = Fraction(theta)
     sin, cos = _fraction_sin_cos(theta)
     half_sin, half_cos = _fraction_sin_cos(theta / 2)
@@ -218,24 +232,31 @@ def _reference(theta):
 
 
 _HELPERS = {"sinc": sinc, "cosm1": cos_minus_one_over_sq, "one-minus-sinc": one_minus_sinc,
-            "h3": theta_minus_sin_over_cube, "phi": unit_reach,
+            "h3": h3, "phi": unit_reach,
             "phi-slope": unit_reach_slope, "factor-sinc-half": _factor(0),
             "factor-h3": _factor(1), "factor-tau": factor_tau}
+# exp is total, so its factors are also checked beyond 2 pi, where phi, phi'
+# and tau have their first pole
+_EXP_SIDE = ("sinc", "cosm1", "one-minus-sinc", "h3")
 
 
 def test_scalar_helpers_against_exact_reference():
     # dense around 1e-4 and around the switch at 0.5, then out to just below
-    # 2 pi, where cos - 1, sin and the tau denominator vanish
+    # 2 pi, where cos - 1, sin and the tau denominator vanish; the exp-side
+    # factors then on to 1e3, through zeros of sin and cos
     thetas = np.concatenate((
         np.geomspace(1e-7, 6.28, 60),
         np.linspace(0.45, 0.55, 21),
         np.nextafter(0.5, [0.0, 1.0]),
         [9.99e-5, 1.0001e-4, 0.1, 0.1001, 0.13, np.pi, 6.283, 2 * np.pi * (1 - 1e-9)],
     ))
+    beyond = np.concatenate((np.geomspace(2 * np.pi, 1e3, 40), np.pi * np.array([3.0, 4.0, 101.0])))
     worst = {name: 0.0 for name in _HELPERS}
-    for th in thetas:
-        th = float(th)
+    for th in thetas.tolist() + beyond.tolist():
+        names = _HELPERS if th < 2 * np.pi else _EXP_SIDE
         for name, exact in _reference(th).items():
+            if name not in names:
+                continue
             got = _HELPERS[name](th)
             err = abs(Fraction(got) - exact) / abs(exact)
             worst[name] = max(worst[name], float(err))
@@ -265,7 +286,8 @@ def test_switch_matches_the_two_branch_form_bit_for_bit(direct, series, theta):
 
 
 def test_vector_and_scalar_agree():
+    # a mixed array gets the bits of each angle on its own
     thetas = np.array([0.0, 1e-5, 0.3, 2.0])
-    vec = sinc(thetas)
-    for th, expect in zip(thetas, vec):
-        assert sinc(float(th)) == expect
+    vec = np.asarray(_half_angle(thetas))
+    for th, expect in zip(thetas, vec.T):
+        assert _half_angle(float(th)) == tuple(expect)

@@ -432,6 +432,14 @@ def _alpha_config(tmp_path, alpha):
       for alpha in ("inf", "-inf", "nan") for command in ("validate", "mcp")],
     pytest.param(["validate", "explicit", "--seed", "-3"], 3, id="seed-negative"),
     pytest.param(["validate", "explicit", "--seed", str(2**64)], 3, id="seed-2**64"),
+    # --seed is checked where no seed is drawn too
+    pytest.param(["validate", "--group", "heisenberg3", "--seed", "-3"], 3,
+                 id="seed-negative-catalog"),
+    pytest.param(["exp", "--group", "heisenberg3", "--u", "1,0", "--v", "1", "--seed", "-3"], 3,
+                 id="seed-negative-exp"),
+    # exp is total: |v| far beyond 1e154, where |v|^2 and h3's cube overflow
+    pytest.param(["exp", "--group", "heisenberg3", "--u", "1,0.3", "--v", "1e200", "--steps", "1"],
+                 0, id="exp-v-1e200"),
     pytest.param(["exp", "--group", "heisenberg3", "--u", "1,0,0", "--v", "1"], 3,
                  id="exp-u-count"),
     pytest.param(["log", "--group", "heisenberg3", "--x", "1,0,0", "--z", "1"], 3,
@@ -485,6 +493,13 @@ def test_log_at_extreme_scale_meets_its_target(heis, x, z, want, capsys):
     gap = exp_map(heis, lam).as_vector() - target.as_vector()
     assert math.hypot(*gap) <= _LOG_ENDPOINT * math.hypot(*target.as_vector())
     assert float(lines["distance"]) == math.hypot(*lam.u)
+
+
+def test_public_names_resolve():
+    # every exported name is listed once and exists, so no removed name lingers
+    assert len(set(htcarnot.__all__)) == len(htcarnot.__all__)
+    missing = [name for name in htcarnot.__all__ if not hasattr(htcarnot, name)]
+    assert missing == []
 
 
 # documented exit code of every library error raised inside a subcommand

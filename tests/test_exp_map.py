@@ -1,5 +1,6 @@
 """Endpoint formulas against direct integration of the normal Hamiltonian flow."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -20,7 +21,7 @@ from htcarnot import (
 from htcarnot.catalog import catalog_structure
 from htcarnot.geodesics import _vertical_reach
 
-from conftest import seeded_covectors
+from conftest import oracle_exp_neg, seeded_covectors
 
 
 def flow_endpoint(sc, u, v, t_final=1.0):
@@ -188,8 +189,6 @@ def test_geodesic_concatenation(group):
     # restarting a geodesic from an interior point with the transported
     # momentum reaches the same endpoint.  This couples the product's
     # z-correction sign to the flow; a flipped sign fails by O(1).
-    from htcarnot import EXP_NEG_PAIR, apply_analytic
-
     rng = np.random.default_rng(33)
     for _ in range(5):
         u = rng.standard_normal(group.rank)
@@ -198,7 +197,41 @@ def test_geodesic_concatenation(group):
         full = exp_map(group, lam).as_vector()
         for s in (0.3, 0.5, 0.8):
             head = exp_map(group, lam.scale(s))
-            h = apply_analytic(group, s * v, EXP_NEG_PAIR, u)
+            h = oracle_exp_neg(l_of_v(group, s * v)) @ u
             tail = exp_map(group, Covector((1 - s) * h, (1 - s) * v))
             glued = multiply(group, head, tail).as_vector()
             assert np.max(np.abs(glued - full)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "contact12"])
+@pytest.mark.parametrize("vn", [1e120, 1e160, 1e200, 1e300])
+def test_exp_at_large_vertical_momentum_matches_the_closed_form(name, vn):
+    # every factor of exp is bounded at every finite angle, so nothing
+    # overflows to 0, inf or NaN where h3's cube or |v|^2 leave the float
+    # range (a RuntimeWarning fails the suite).  The oracle is the same closed
+    # form in 50-digit arithmetic; its angles s_c |v| are exact floats here
+    # (corank 1, s_c in {1, 2}).
+    sc = catalog_structure(name)
+    u = np.linspace(1.0, 0.3, sc.rank)
+    lam = Covector(u, [vn])
+    pt = exp_map(sc, lam)
+    # the t = 0 row sends the kernel a mixed array of angles
+    assert geodesic_sample(sc, lam, [0.0, 1.0])[1].as_vector().tobytes() == \
+        pt.as_vector().tobytes()
+    with mpmath.workdps(50):
+        v = mpmath.mpf(vn)
+        x_ref, reach = [], mpmath.mpf(0)
+        for c in range(sc.rank):
+            s = mpmath.mpf(float(sc.s_diag[c]))
+            th = s * v
+            lu = mpmath.fsum(mpmath.mpf(float(sc.L[0, c, d])) * float(u[d])
+                             for d in range(sc.rank))
+            # f(L_v) u = sinc(theta) u + (cos theta - 1)/theta^2 |v| L_vhat u
+            x_ref.append(mpmath.sin(th) / th * float(u[c])
+                         + (mpmath.cos(th) - 1) / th**2 * v * lu)
+            reach += s**2 * (th - mpmath.sin(th)) / th**3 * float(u[c]) ** 2
+        z_ref = float(reach * v / 2)
+        x_ref = np.array([float(c) for c in x_ref])
+    assert np.linalg.norm(pt.x - x_ref) <= 1e-14 * np.linalg.norm(x_ref)
+    assert pt.z[0] == pytest.approx(z_ref, rel=1e-14, abs=0.0)
+    assert cut_time(sc, lam) == pytest.approx(2.0 * np.pi / (sc.alpha_max * vn), rel=1e-15)
