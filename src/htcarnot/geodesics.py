@@ -17,6 +17,12 @@ part -sinc(theta/2)^2 / 2 of f; exp's vertical part, the vertical reach and
 the cut-locus coefficient take h3; the Jacobian takes all three.  The one
 exception is log_map's F and F' (:func:`unit_reach`, :func:`unit_reach_slope`),
 see there.
+
+One routine, :func:`_invert`, inverts exp for log_map, distance and
+distance_bound.  It dilates the target to unit scale, solves F(r) = |z| for
+|v| = r, or takes the cut locus |v| = R = 2 pi / alpha_max where no root
+lies below R, builds u from one kernel evaluation, checks the endpoint
+against one tolerance, and says which of the two branches ran.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ def _switch(theta, direct: Callable, series: Callable):
     # mixed array evaluates both, each on its own entries: `direct` never
     # sees 0, and `series` never sees a large angle, where its powers would
     # overflow.  Both may return a tuple of arrays, which a mixed array gets
-    # back stacked on a new first axis, and a 0-d theta as a tuple of floats.
+    # back stacked on a new first axis.
     th = np.asarray(theta, dtype=np.float64)
     small = np.abs(th) < _SMALL_THETA
     count = np.count_nonzero(small)
@@ -94,9 +100,7 @@ def _switch(theta, direct: Callable, series: Callable):
         out = np.empty(near.shape[:-1] + th.shape)
         out[..., small] = near
         out[..., ~small] = far
-    if th.ndim:
-        return out
-    return tuple(map(float, out)) if isinstance(out, tuple) else float(out)
+    return out
 
 
 def _half_angle_direct(t):
@@ -239,9 +243,9 @@ def _exp_rows(sc, u, v):
     # angle:
     #     x = sinc(theta) u - (1/2) sinc(theta/2) (sinc(theta/2) |v|) L_vhat u
     #     z = (1/2) sum_c s_c (theta_c h3(theta_c)) u_c^2 vhat,
-    # and z is the sum of _vertical_reach.  theta h3(theta) = (theta -
-    # sin theta)/theta^2 is taken as 1/theta from _LARGE_ANGLE on.  + 0.0 turns the -0.0 of t = 0 rows (t u and
-    # t v) into 0.0 in x and z.  On ker S, f(L_v) is the identity and
+    # and |z| is the vertical reach of _momentum_at.  theta h3(theta) =
+    # (theta - sin theta)/theta^2 is taken as 1/theta from _LARGE_ANGLE on.
+    # + 0.0 turns the -0.0 of t = 0 rows (t u and t v) into 0.0 in x and z.  On ker S, f(L_v) is the identity and
     # s_c = 0, so the kernel only sees the coordinates with s_c > 0.  u is
     # dilated to unit scale first, so that its squares stay in the normal
     # range (see _SCALE_BAND); |v| is a chain of hypot, which squares nothing.
@@ -384,36 +388,26 @@ def is_abnormal(sc: StructureConstants, lam: Covector) -> bool:
     return not np.any(sc.s_diag * lam.u)
 
 
-def _apply_f_inverse(sc, vn, x, lx):
-    # f(L_v)^{-1} x from |v| and lx = L_v x, by the inverted even/odd pair:
-    # f has even part E = sinc(theta) and odd part O = -h/2 with
-    # h = sinc(theta/2)^2 (_f_parts), and E^2 + theta^2 O^2 = h > 0 for
-    # theta < 2 pi.  On ker S theta = 0, where E = h = 1.
+def _apply_f_inverse(sc, x, lx, sinc, sinc_half):
+    # f(L_v)^{-1} x from lx = L_v x and the factors sinc(theta) and
+    # sinc(theta/2) of _f_parts on the coordinates with s_c > 0: f has even
+    # part E = sinc(theta) and odd part O = -h/2 with h = sinc(theta/2)^2,
+    # and E^2 + theta^2 O^2 = h > 0 for theta < 2 pi.  On ker S theta = 0,
+    # where E = h = 1.
     pos = sc.s_positive
-    sinc, sinc_half, _ = _f_parts(vn * sc.s_diag[pos])
     h = sinc_half**2
     u = x + 0.5 * lx
     u[pos] = (sinc * x[pos] + 0.5 * h * lx[pos]) / h
     return u
 
 
-def _vertical_reach(sc, u, r):
-    # |z|-component of exp at the covector (u, r vhat), |vhat| = 1:
-    # F(r) = (r/2) sum_c s_c^2 h3(s_c r) u_c^2 over the coordinates with s_c > 0.
-    pos = sc.s_positive
-    s = sc.s_diag[pos]
-    up = u[pos]
-    _, h3, _ = _half_angle(r * s)
-    return 0.5 * r * float((s * s * h3) @ (up * up))
-
-
 def _reach(s, a, b, r, slope=False):
     # The vertical reach F(r) of the target's horizontal part x, in closed
     # form: u = f(L_v)^{-1} x has |u_c|^2 = x_c^2 / sinc(theta_c/2)^2 on each
     # block (E^2 + theta^2 O^2 = sinc(theta/2)^2), so the term
-    # (r/2) s_c^2 h3(theta_c) u_c^2 of _vertical_reach is s_c x_c^2
-    # phi(theta_c), phi = unit_reach.  With the weights a = s x^2 and
-    # b = s^2 x^2 over the coordinates with s_c > 0
+    # (r/2) s_c^2 h3(theta_c) u_c^2 of exp's |z| is s_c x_c^2 phi(theta_c),
+    # phi = unit_reach.  With the weights a = s x^2 and b = s^2 x^2 over the
+    # coordinates with s_c > 0
     #     F(r) = sum_c a_c phi(theta_c),   F'(r) = sum_c b_c phi'(theta_c).
     # With slope=True returns (F, F'), else F.
     theta = r * s
@@ -439,16 +433,22 @@ def _momentum_at(sc, x, zn, vhat, r):
     # which keeps it accurate at both ends and makes it vanish at R, where
     # f(L_v) annihilates the top block and m = m1, the cut-locus formula of
     # distance_bound.  Inside the domain a vanishing f(L_v)^{-1} x_top has
-    # no direction to scale, and u_top = 0.
+    # no direction to scale, and u_top = 0.  The kernel runs once, at the
+    # angles r s_c off ker S: its factors give f(L_v)^{-1}, the lower reach
+    # (r/2) sum_c s_c^2 h3(r s_c) u_c^2 and c, at the top block's angle
+    # r alpha_max.
+    pos = sc.s_positive
+    s = sc.s_diag[pos]
+    sinc, sinc_half, h3 = _f_parts(r * s)
+    u = _apply_f_inverse(sc, x, r * (l_of_v(sc, vhat) @ x), sinc, sinc_half)
     top = sc.blocks[-1].indices
-    u = _apply_f_inverse(sc, r, x, r * (l_of_v(sc, vhat) @ x))
     u_top = u[top]
     m0 = math.hypot(*u_top)
     u[top] = 0.0
     alpha = sc.alpha_max
-    _, h3, _ = _half_angle(alpha * r)
-    c = 0.5 * r * alpha**2 * h3
-    top2 = (zn - _vertical_reach(sc, u, r)) / c
+    c = 0.5 * r * alpha**2 * float(h3[np.argmax(s)])
+    up = u[pos]
+    top2 = (zn - 0.5 * r * float((s * s * h3) @ (up * up))) / c
     sigma = float(np.sin(0.5 * alpha * min(r, sc.first_conjugate_radius - r)))
     sigma /= 0.5 * alpha * r
     m = m0
@@ -462,16 +462,6 @@ def _momentum_at(sc, x, zn, vhat, r):
     else:
         u[top[0]] = m
     return u
-
-
-def _endpoint_residual(sc, lam, target, rel):
-    # |exp(lam) - target| and its tolerance rel * max(1, |target|): relative,
-    # because the endpoint carries the rounding of coordinates of size |target|.
-    # Scaled norms: squares overflow above about 1e154, which made the
-    # tolerance inf and passed any covector.
-    goal = target.as_vector()
-    residual = math.hypot(*(exp_map(sc, lam).as_vector() - goal))
-    return residual, rel * max(1.0, math.hypot(*goal))
 
 
 _SCAN_POINTS = 64
@@ -511,43 +501,39 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     and the covector (2^e u, v) is returned (see _SCALE_BAND).
 
     Raises CutLocusTarget when no root exists (the target is not in the
-    diffeomorphic image), NoCandidateFound when the scan finds several
-    brackets or the covector misses the target by more than the endpoint
-    tolerance, and IdentityTarget for the identity.
+    diffeomorphic image; :func:`distance_bound` gives its distance),
+    NoCandidateFound when the scan finds several brackets or the covector
+    misses the target by more than the endpoint tolerance
+    1e-10 max(1, |target|), and IdentityTarget for the identity.
     """
-    return _at_unit_scale(_log_at_unit_scale, sc, target)
+    lam, cut = _invert(sc, target)
+    if cut:
+        raise CutLocusTarget(
+            "no radius below the first conjugate radius reaches the "
+            "target; the point lies outside the diffeomorphic image"
+        )
+    return lam
 
 
-def _at_unit_scale(solve, sc, target: GroupPoint) -> Covector:
-    # solve(sc, target), with the target first dilated by 2^-e to unit scale
-    # where its coordinates or squares would leave the normal range; the
-    # covector found is dilated back to (2^e u, v)
-    _check_point(sc, target)
+def _at_unit_scale(target: GroupPoint) -> tuple[GroupPoint, int]:
+    # (target dilated by 2^-e, e): e = 0 inside the band, else the exponent
+    # that brings the target's coordinates and squares to unit scale
     x, z = target.x.tolist(), target.z.tolist()
     scale = max(max(map(abs, x)), math.sqrt(max(map(abs, z))))
     if _SCALE_BAND[0] <= scale <= _SCALE_BAND[1]:
-        return solve(sc, target)
+        return target, 0
     e = _dilation_exponent(scale)
-    lam = solve(sc, GroupPoint(np.ldexp(target.x, -e), np.ldexp(target.z, -2 * e)))
-    with np.errstate(over="ignore"):
-        u = np.ldexp(lam.u, e)
-    # the distance |u| must be a float too, as it is at every target in the band
-    if not math.isfinite(math.hypot(*u.tolist())):
-        raise ValueError("the covector's length |u| is beyond the float range")
-    return Covector(u, lam.v)
+    return GroupPoint(np.ldexp(target.x, -e), np.ldexp(target.z, -2 * e)), e
 
 
-def _log_at_unit_scale(sc, target: GroupPoint) -> Covector:
-    zn = math.hypot(*target.z)
-    if zn == 0.0:
-        if not np.any(target.x):
-            raise IdentityTarget("log of the identity is not defined")
-        return Covector(target.x.copy(), np.zeros(sc.corank))
-    vhat = target.z / zn
+def _reach_root(sc, x, zn):
+    # The root r of F(r) = |z| on (0, R (1 - 1e-12)] (see log_map), or None
+    # when the scan finds no sign change there: no covector in the domain
+    # reaches the target.
     rmax = sc.first_conjugate_radius * (1.0 - 1e-12)
     pos = sc.s_positive
     s = sc.s_diag[pos]
-    a = s * target.x[pos] ** 2
+    a = s * x[pos] ** 2
     b = s * a
 
     # The scan stays 64 separate evaluations.  The benchmark keeps three
@@ -560,62 +546,91 @@ def _log_at_unit_scale(sc, target: GroupPoint) -> Covector:
     gaps = np.array([_reach(s, a, b, r) for r in rs]) - zn
     zeros = np.flatnonzero(gaps == 0.0)
     if zeros.size:
-        root = float(rs[zeros[0]])
-    else:
-        # sign changes on the grid 0, rs, with the virtual F(0+) - |z| < 0;
-        # sign bits, because the product of two gaps below about 1e-154
-        # underflows to 0
-        grid = np.concatenate(([0.0], rs))
-        negative = np.signbit(np.concatenate(([-zn], gaps)))
-        changes = np.flatnonzero(negative[:-1] != negative[1:])
-        if changes.size > 1:
-            brackets = list(zip(grid[changes].tolist(), grid[changes + 1].tolist()))
-            raise NoCandidateFound(
-                f"multiple root brackets {brackets} for the vertical-reach "
-                "equation; exp should be injective here, so this indicates a "
-                "Jacobian or synthesis bug"
-            )
-        if not changes.size:
-            raise CutLocusTarget(
-                "no radius below the first conjugate radius reaches the "
-                "target; the point lies outside the diffeomorphic image"
-            )
-        lo, hi = float(grid[changes[0]]), float(grid[changes[0] + 1])
-        root = 0.5 * (lo + hi)
-        tol = _LOG_RESIDUAL * zn
-        for _ in range(_NEWTON_ITERATIONS):
-            reach, slope = _reach(s, a, b, root, slope=True)
-            gap = reach - zn
-            if gap < 0.0:
-                lo = root
-            else:
-                hi = root
-            # a zero slope counts as a step out of the bracket
-            cand = root - (gap / slope if slope > 0.0 else math.inf)
-            if abs(gap) <= tol:
-                # one last step, which quadratic convergence takes to rounding
-                if lo < cand < hi:
-                    root = cand
-                break
-            if lo == 0.0 and not cand > 0.0:
-                # F is convex with F(0) = 0, so a step to or below 0 is
-                # cancellation: the root lies far below the iterate (|z| far
-                # below |x|^2).  The secant from F(0) = 0 lands at or below it.
-                cand = root * (zn / reach)
-            if not lo < cand < hi:
-                cand = 0.5 * (lo + hi)
-            if cand == root:
-                break
-            root = cand
-
-    lam = Covector(_momentum_at(sc, target.x, zn, vhat, root), root * vhat)
-    residual, tol = _endpoint_residual(sc, lam, target, _LOG_ENDPOINT)
-    if not residual <= tol:
+        return float(rs[zeros[0]])
+    # sign changes on the grid 0, rs, with the virtual F(0+) - |z| < 0;
+    # sign bits, because the product of two gaps below about 1e-154
+    # underflows to 0
+    grid = np.concatenate(([0.0], rs))
+    negative = np.signbit(np.concatenate(([-zn], gaps)))
+    changes = np.flatnonzero(negative[:-1] != negative[1:])
+    if changes.size > 1:
+        brackets = list(zip(grid[changes].tolist(), grid[changes + 1].tolist()))
         raise NoCandidateFound(
-            f"log residual {residual:.3e} exceeds {tol:.3e} after root polishing; "
-            "this indicates a synthesis bug"
+            f"multiple root brackets {brackets} for the vertical-reach "
+            "equation; exp should be injective here, so this indicates a "
+            "Jacobian or synthesis bug"
         )
-    return lam
+    if not changes.size:
+        return None
+    lo, hi = float(grid[changes[0]]), float(grid[changes[0] + 1])
+    root = 0.5 * (lo + hi)
+    tol = _LOG_RESIDUAL * zn
+    for _ in range(_NEWTON_ITERATIONS):
+        reach, slope = _reach(s, a, b, root, slope=True)
+        gap = reach - zn
+        if gap < 0.0:
+            lo = root
+        else:
+            hi = root
+        # a zero slope counts as a step out of the bracket
+        cand = root - (gap / slope if slope > 0.0 else math.inf)
+        if abs(gap) <= tol:
+            # one last step, which quadratic convergence takes to rounding
+            if lo < cand < hi:
+                root = cand
+            break
+        if lo == 0.0 and not cand > 0.0:
+            # F is convex with F(0) = 0, so a step to or below 0 is
+            # cancellation: the root lies far below the iterate (|z| far
+            # below |x|^2).  The secant from F(0) = 0 lands at or below it.
+            cand = root * (zn / reach)
+        if not lo < cand < hi:
+            cand = 0.5 * (lo + hi)
+        if cand == root:
+            break
+        root = cand
+    return root
+
+
+def _invert(sc, target: GroupPoint) -> tuple[Covector, bool]:
+    # (minimizing covector, on the cut locus).  With z = 0 the covector is
+    # the straight line (x, 0); on the cut locus x is zeroed on the top
+    # eigenblock, which f(L_v) annihilates at |v| = R.  The endpoint check
+    # is relative, because the endpoint carries the rounding of coordinates
+    # of size |target|, and takes scaled norms, whose squares cannot
+    # overflow to an inf tolerance.
+    _check_point(sc, target)
+    target, e = _at_unit_scale(target)
+    zn = math.hypot(*target.z)
+    cut = False
+    if zn == 0.0:
+        if not np.any(target.x):
+            raise IdentityTarget("log of the identity is not defined")
+        lam = Covector(target.x.copy(), np.zeros(sc.corank))
+    else:
+        x, r = target.x, _reach_root(sc, target.x, zn)
+        cut = r is None
+        if cut:
+            x, r = x.copy(), sc.first_conjugate_radius
+            x[sc.blocks[-1].indices] = 0.0
+        vhat = target.z / zn
+        lam = Covector(_momentum_at(sc, x, zn, vhat, r), r * vhat)
+        goal = target.as_vector()
+        residual = math.hypot(*(exp_map(sc, lam).as_vector() - goal))
+        tol = _LOG_ENDPOINT * max(1.0, math.hypot(*goal))
+        if not residual <= tol:
+            raise NoCandidateFound(
+                f"the covector misses the target by {residual:.3e} > {tol:.3e}; "
+                + ("on the cut locus x must vanish on the top eigenblock" if cut
+                   else "this indicates a synthesis bug"))
+    if e:
+        with np.errstate(over="ignore"):
+            u = np.ldexp(lam.u, e)
+        # the distance |u| must be a float too, as it is at every target in the band
+        if not math.isfinite(math.hypot(*u.tolist())):
+            raise ValueError("the covector's length |u| is beyond the float range")
+        lam = Covector(u, lam.v)
+    return lam, cut
 
 
 @dataclass(frozen=True)
@@ -631,50 +646,15 @@ class DistanceResult:
 def distance(sc: StructureConstants, p: GroupPoint, q: GroupPoint) -> DistanceResult:
     """Carnot-Caratheodory distance d(p, q), total on all pairs.
 
-    Left-invariant reduction to d(e, p^{-1} q); |u| of the log on the
-    diffeomorphic image and the closed form of :func:`distance_bound` on
-    the cut locus, both exact.
+    Left-invariant reduction to d(e, p^{-1} q), which is |u| of the
+    minimizing covector: the log on the diffeomorphic image and the closed
+    form of :func:`distance_bound` on the cut locus, both exact.
     """
-    target = multiply(sc, inverse(p), q)
     try:
-        lam = log_map(sc, target)
+        lam, _ = _invert(sc, multiply(sc, inverse(p), q))
     except IdentityTarget:
         return DistanceResult(0.0)
-    except CutLocusTarget:
-        return DistanceResult(distance_bound(sc, target))
     return DistanceResult(math.hypot(*lam.u))
-
-
-_CUT_RESIDUAL = 1e-8
-
-
-def _cut_locus_covector(sc: StructureConstants, target: GroupPoint) -> Covector:
-    # The covector whose |u| distance_bound returns; see its docstring.
-    return _at_unit_scale(_cut_locus_at_unit_scale, sc, target)
-
-
-def _cut_locus_at_unit_scale(sc, target: GroupPoint) -> Covector:
-    if not np.any(target.x) and not np.any(target.z):
-        raise IdentityTarget("the identity is at distance zero")
-    zn = math.hypot(*target.z)
-    if zn == 0.0:
-        raise ValueError(
-            "targets with z = 0 are reached by straight lines and belong to "
-            "log_map, not the cut-locus formula"
-        )
-    radius = sc.first_conjugate_radius
-    vhat = target.z / zn
-    x = target.x.copy()
-    x[sc.blocks[-1].indices] = 0.0
-    lam = Covector(_momentum_at(sc, x, zn, vhat, radius), radius * vhat)
-    residual, tol = _endpoint_residual(sc, lam, target, _CUT_RESIDUAL)
-    if not residual <= tol:
-        raise NoCandidateFound(
-            f"the cut-locus covector misses the target by {residual:.3e} > "
-            f"{tol:.3e}; x must vanish on the top eigenblock, and the lower "
-            f"eigenblocks alone must not overshoot |z| = {zn:.6g}"
-        )
-    return lam
 
 
 def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
@@ -688,13 +668,21 @@ def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
                     / ((R/2) alpha_max^2 h3(2 pi))
 
     with h3(theta) = (theta - sin theta)/theta^3; u_top lies on the first axis of the
-    top block.  On Heisenberg this is sqrt(4 pi |z|).  Raises
-    NoCandidateFound when the endpoint misses the target by more than
-    1e-8 max(1, |target|): x does not vanish on the top block, or the lower
-    blocks alone overshoot |z|, where u_top = 0.  Targets far from unit
-    scale are handled as in :func:`log_map`.
+    top block.  On Heisenberg this is sqrt(4 pi |z|).  The target must lie
+    on the cut locus, where :func:`log_map` raises CutLocusTarget.  Raises
+    NoCandidateFound for a target in the diffeomorphic image (its distance
+    is |u| of log_map) or when the endpoint misses the target by more than
+    1e-10 max(1, |target|), ValueError for z = 0 (straight lines) and
+    IdentityTarget for the identity.  Targets far from unit scale are
+    handled as in :func:`log_map`.
     """
-    return math.hypot(*_cut_locus_covector(sc, target).u)
+    lam, cut = _invert(sc, target)
+    if cut:
+        return math.hypot(*lam.u)
+    if np.any(lam.v):
+        raise NoCandidateFound("the target lies off the cut locus; log_map reaches it")
+    raise ValueError("targets with z = 0 are reached by straight lines, not the "
+                     "cut-locus formula")
 
 
 def homothety(sc: StructureConstants, x0: GroupPoint, y: GroupPoint, t: float) -> GroupPoint:

@@ -163,7 +163,8 @@ def check_jacobian_contraction(sc: StructureConstants, samples: int, t_grid,
 
     Draws covectors uniformly in the default box and verifies, for each t in
     t_grid, J(t u, t v) >= t^(2p) J(u, v) up to relative slack 1e-12.  The
-    reported margin is the smallest value of J(t lam)/(t^(2p) J(lam)) - 1.
+    reported margin is the smallest value of J(t lam)/(t^(2p) J(lam)) - 1;
+    a NaN margin is reported as NaN and fails the check.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -181,18 +182,26 @@ def check_jacobian_contraction(sc: StructureConstants, samples: int, t_grid,
     # kernel coordinates contribute the factor 1 and the weights 0, and their
     # zero angles would force both branches of the scalar helpers
     pos = sc.s_positive
-    min_margin = math.inf
+    # as in _box_jacobian_integral, v at unit scale and the alphas times
+    # 2^-e_alpha; |v| times 2^e_alpha keeps every angle alpha |v| bit for bit,
+    # and J scales by 4^(-e_alpha p) in both terms of each margin
+    e_alpha = _dilation_exponent(sc.alpha_max)
+    alphas = np.ldexp(sc.s_diag[pos], -e_alpha)
+    e_v = _unit_corners(box.lower[k:], box.upper[k:])[2]
+    minima = [math.inf]
     for rows in _row_batches(samples, scales.size * k):
         u = scales * draws[rows, None, pos]
-        v = scales * draws[rows, None, k:]
-        jac = _jacobian_core(sc.s_diag[pos], 0.5, p, u * u, np.linalg.norm(v, axis=-1))
+        v = scales * np.ldexp(draws[rows, None, k:], -e_v)
+        vn = np.ldexp(np.linalg.norm(v, axis=-1), e_v + e_alpha)
+        jac = _jacobian_core(alphas, 0.5, p, u * u, vn)
         margins = jac[:, 1:] / (t_pow * jac[:, :1]) - 1.0
         if margins.size:
-            min_margin = min(min_margin, float(margins.min()))
+            minima.append(float(margins.min()))
+    min_margin = float(np.min(minima))
     return JacobianContractionReport(
         samples=samples,
         t_grid=tuple(ts),
-        min_margin=float(min_margin),
+        min_margin=min_margin,
         passed=bool(min_margin >= -_JACOBIAN_SLACK),
     )
 
@@ -237,7 +246,7 @@ def _require_box_in_domain(sc, box: CovectorBox):
         )
     u_lo, u_hi, v_lo, v_hi = box.split(sc.rank)
     far_v = np.where(np.abs(v_hi) >= np.abs(v_lo), v_hi, v_lo)
-    if not float(np.linalg.norm(far_v)) < sc.first_conjugate_radius:
+    if not math.hypot(*far_v.tolist()) < sc.first_conjugate_radius:
         corner = np.concatenate((u_lo, far_v))
         raise BoxOutsideDomain(
             f"box corner {corner.tolist()} leaves the injectivity domain: "
@@ -366,10 +375,14 @@ def _jacobian_expansion(sc, theta):
     pref * sum_delta c_delta q^delta over |delta| = p, where q holds the
     squared block norms of u.  Returns pref and the list of c_delta in the
     order of _deltas.  c_delta sums multinom(gamma) a^gamma b_i over the i
-    with gamma = delta - e_i >= 0, in order of i.
+    with gamma = delta - e_i >= 0, in order of i.  The weights a and b take
+    the alphas times 2^-e, e the exponent of alpha_max, so that their
+    squares stay in range at every alpha; that scales every c_delta by the
+    same 4^(-e p), exactly, which the ratios and averages of J cancel.
     """
     p = sc.corank
-    pref, a, b = _jacobian_factors(sc.block_alphas(), sc.block_pairs(), theta)
+    alphas = np.ldexp(sc.block_alphas(), -_dilation_exponent(sc.alpha_max))
+    pref, a, b = _jacobian_factors(alphas, sc.block_pairs(), theta)
     d = a.shape[-1]
     agams = {}
     coeffs = []
@@ -393,15 +406,18 @@ def _box_jacobian_integral(sc, box: CovectorBox, scales, quad: int, moments,
 
     The integrand is polynomial in u (degree 2p), so the u-integral reduces
     to the exact moments sum_u w q^delta, one per delta of _deltas; only the
-    v-grid (quad^p nodes) is enumerated, once for all scales.  Identical
-    quadrature sum to the full tensor rule, reorganized.  Returns the
-    integrals and, with v_side, the v-side V_delta = sum_v w pref c_delta of
-    the K < 0 distortion average from the row of scales[0], which must then
-    be 1 (else None).
+    v-grid (quad^p nodes) is enumerated, once for all scales, on the
+    v-corners times 2^-e (_unit_corners) with J at the true |v|.  Identical
+    quadrature sum to the full tensor rule, reorganized, up to a power of
+    two common to every scale.  Returns the integrals and, with v_side, the
+    v-side V_delta = sum_v w pref c_delta of the K < 0 distortion average
+    from the row of scales[0], which must then be 1 (else None), both up to
+    that power of two.
     """
     p = sc.corank
-    pts, wts = tensor_grid(box.lower[sc.rank:], box.upper[sc.rank:], quad)
-    rays = np.multiply.outer(np.linalg.norm(pts, axis=1), sc.block_alphas())
+    v_lo, v_hi, e = _unit_corners(box.lower[sc.rank:], box.upper[sc.rank:])
+    pts, wts = tensor_grid(v_lo, v_hi, quad)
+    rays = np.multiply.outer(_true_norm(np.linalg.norm(pts, axis=1), e), sc.block_alphas())
     scale_col = np.array(scales, dtype=np.float64)
     totals = []
     v_sums = None
@@ -432,26 +448,27 @@ def _ratios(sc, box: CovectorBox, ts, quad: int, moments, v_side: bool = False):
     return [t**sc.dim * num / den for t, num in zip(ts, nums)], v_sums
 
 
-def _moment_corners(sc, box: CovectorBox):
-    # (u_lo, u_hi, e): the u-corners times 2^-e, at unit scale.  The
-    # u-moments scale as |u|^(2p) times the box volume, so they would
-    # underflow or overflow on boxes far from unit scale; a power of two
-    # scales every moment exactly, so the ratios and the distortion averages
-    # keep their bits, and D_t is taken at the true |u| (_true_norm).
-    u_lo, u_hi = box.lower[:sc.rank], box.upper[:sc.rank]
-    e = _dilation_exponent(max(map(abs, u_lo.tolist() + u_hi.tolist())))
-    return np.ldexp(u_lo, -e), np.ldexp(u_hi, -e), e
+def _unit_corners(lo, hi):
+    # (lo, hi, e): box corners times 2^-e, at unit scale.  The u-moments
+    # scale as |u|^(2p) times the box volume and the v-weights as the box
+    # volume, so they would underflow or overflow on boxes far from unit
+    # scale; a power of two scales every moment and weight exactly, so the
+    # ratios and the distortion averages keep their bits, and D_t and J are
+    # taken at the true |u| and |v| (_true_norm).
+    e = _dilation_exponent(max(map(abs, lo.tolist() + hi.tolist())))
+    return np.ldexp(lo, -e), np.ldexp(hi, -e), e
 
 
 def _true_norm(norm, e):
-    # |u| from the norm of the u-corners times 2^-e; inf past the float range
+    # |u| or |v| from the norm of the corners times 2^-e; inf past the float
+    # range
     with np.errstate(over="ignore"):
         return np.ldexp(norm, e)
 
 
 def _contraction_ratios(sc, box: CovectorBox, ts, quad: int) -> list[float]:
     _require_quadrature(sc, box, quad)
-    u_lo, u_hi, _ = _moment_corners(sc, box)
+    u_lo, u_hi, _ = _unit_corners(box.lower[:sc.rank], box.upper[:sc.rank])
     return _ratios(sc, box, ts, quad, _u_moment_table(sc, u_lo, u_hi, quad)[:, 0])[0]
 
 
@@ -498,12 +515,15 @@ def sharpness_box(sc: StructureConstants, shrink: int = 0) -> CovectorBox:
     """Small box near v = 0 around a unit horizontal covector.
 
     Centered at u = first non-kernel basis direction, v = delta * e1 with
-    delta = 1e-3 R; half-widths 1e-3 in every coordinate.  Both delta and the
+    delta = 1e-3 R; half-widths 1e-3 in every u coordinate and
+    min(1e-3, delta/2) in every v coordinate, so that |v| stays below R at
+    every alpha_max (the two agree wherever R >= 2).  Both delta and the
     half-widths halve with each shrink step.
     """
     factor = 0.5**shrink
     delta = 1e-3 * sc.first_conjugate_radius * factor
-    half = 1e-3 * factor
+    half = np.full(sc.dim, 1e-3 * factor)
+    half[sc.rank:] = min(half[0], 0.5 * delta)
     center = np.zeros(sc.dim)
     first = int(sc.blocks[0].indices[0])
     center[first] = 1.0
@@ -608,7 +628,7 @@ def _chebyshev_basis():
 def _distortion_fit(u_lo, u_hi, K, N, ts, e=0):
     """Power coefficients in y of the truncated interpolants of D_t, per t.
 
-    The corners come times 2^-e from _moment_corners, and D_t is taken at
+    The corners come times 2^-e from _unit_corners, and D_t is taken at
     the true |u|.  Returns (coefficients (len(ts), degree + 1), (m_c, h)),
     with m_c the midpoint of the range of u_c^2 on the box and h half the
     width of the range of rho, both times 4^-e, so that y = sum_c
@@ -645,7 +665,7 @@ def _grid_distortion_bounds(sc, u_lo, u_hi, e, K, N, ts, quad, v_side):
     # The distortion average summed over the quad^k u-grid:
     #   U_delta(t) = sum_u w q^delta D_t(|u|)
     # and bound_t = sum V U(t) / sum V U(1), where D_1 = 1; the corners come
-    # times 2^-e from _moment_corners.
+    # times 2^-e from _unit_corners.
     u_pts, u_wts = tensor_grid(u_lo, u_hi, quad)
     q = np.stack([np.sum(u_pts[:, b.indices] ** 2, axis=1) for b in sc.blocks], axis=-1)
     monomials = np.stack([u_wts * np.prod(q ** np.array(delta), axis=-1)
@@ -671,7 +691,7 @@ def _curved_report(sc, box, K, N, ts, quad):
     # within _CHEB_TOL, U_delta(t) = sum_j a_j M[delta, j] from the moment
     # table; elsewhere the u-grid (quad^k nodes) is summed.
     _require_quadrature(sc, box, quad)
-    u_lo, u_hi, e = _moment_corners(sc, box)
+    u_lo, u_hi, e = _unit_corners(box.lower[:sc.rank], box.upper[:sc.rank])
     fit = _distortion_fit(u_lo, u_hi, K, N, ts, e)
     if fit is None:
         require_node_budget(quad, sc.rank)

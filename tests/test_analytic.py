@@ -60,7 +60,9 @@ def exp_neg_from_exp(sc, v, w):
 
 
 def apply_f_inverse(sc, v, w):
-    return _apply_f_inverse(sc, np.linalg.norm(v), w, l_of_v(sc, v) @ w)
+    # with the factors at the angles s_c |v| off ker S, as log takes them
+    factors = _f_parts(np.linalg.norm(v) * sc.s_diag[sc.s_positive])[:2]
+    return _apply_f_inverse(sc, w, l_of_v(sc, v) @ w, *factors)
 
 
 def series_f(sc, v, w):
@@ -101,7 +103,7 @@ def test_pairs_at_zero_momentum(group):
     assert np.array_equal(exp_x(group, zero, w), w)
     assert np.array_equal(exp_z(group, zero, w), zero)
     assert np.array_equal(exp_neg_from_exp(group, zero, w), w)
-    assert np.array_equal(_apply_f_inverse(group, 0.0, w, np.zeros_like(w)), w)
+    assert np.array_equal(apply_f_inverse(group, zero, w), w)
 
 
 def _scalar(fn):

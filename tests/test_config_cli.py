@@ -417,13 +417,20 @@ TINY_BOX = "--box=1e-200,1e-200,0.5;2e-200,2e-200,0.6"
 EXTREME_LOG_TARGETS = [("1e160,0", "1e300", 0), ("1,0", "1e308", 2), ("1e155,0", "1e155", 0)]
 
 
-def _alpha_config(tmp_path, alpha):
-    # json.dumps writes inf, -inf and nan as Infinity, -Infinity and NaN,
-    # which json.loads reads back
+def _alpha_config(tmp_path, alpha, rank, corank):
+    # a one-block group; json.dumps writes inf, -inf and nan as Infinity,
+    # -Infinity and NaN, which json.loads reads back
     return write_config(tmp_path, {
-        "rank": 2, "corank": 1, "kernel_dim": 0,
-        "spectrum": [{"alpha": alpha, "pair_multiplicity": 1}],
+        "rank": rank, "corank": corank, "kernel_dim": 0,
+        "spectrum": [{"alpha": alpha, "pair_multiplicity": rank // 2}],
     })
+
+
+# (config, u, v): one-block configs far from alpha = 1, "alpha=" of rank 2
+# and corank 1, "alpha4x3=" of rank 4 and corank 3, and a covector for exp
+EXTREME_ALPHA_CONFIGS = [("alpha=1e-200", "1,0.3", "1"),
+                         ("alpha4x3=1e-60", "1,0.3,0.5,0.8", "1,0,0"),
+                         ("alpha4x3=1e60", "1,0.3,0.5,0.8", "1,0,0")]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -452,6 +459,18 @@ def _alpha_config(tmp_path, alpha):
                    0, id=f"mcp-tiny-u-box-K{K}") for K in ("0", "-1")],
     *[pytest.param(["log", "--group", "heisenberg3", f"--x={x}", f"--z={z}"], code,
                    id=f"log-extreme-{x}-{z}") for x, z, code in EXTREME_LOG_TARGETS],
+    # alpha^2 and the v-weights of mcp left the float range (ZeroDivisionError,
+    # or nan ratios after RuntimeWarnings); validate and exp always passed
+    *[pytest.param([command, config, *extra], 0, id=f"{config}-{command}")
+      for config, u, v in EXTREME_ALPHA_CONFIGS
+      for command, extra in (("validate", []), ("exp", [f"--u={u}", f"--v={v}"]), ("mcp", []))],
+    # |v| = 2e-299 > R = 6.3e-300 squared to 0 in an unscaled norm
+    pytest.param(["mcp", "alpha=1e300", "--box=0.5,0.5,1e-299;1.5,1.5,2e-299"], 3,
+                 id="mcp-box-beyond-R-at-tiny-v"),
+    # the sharpness box had a v half-width of 1e-3 > R
+    pytest.param(["sharpness", "alpha=1e4"], 0, id="sharpness-alpha-1e4"),
+    pytest.param(["mcp", "alpha4x3=1e4", "--box", "sharpness", "--t-grid", "0.5"], 0,
+                 id="mcp-sharpness-box-alpha-1e4"),
     # the covector is representable but its length |u| is not
     pytest.param(["log", "--group", "heisenberg3", "--x=1.7e308,1e308", "--z=1e300"], 3,
                  id="log-length-overflow"),
@@ -463,11 +482,14 @@ def test_bad_and_extreme_inputs_exit_codes(tmp_path, argv, code):
         if arg == "explicit":
             return str(write_config(tmp_path, EXPLICIT))
         if arg.startswith("alpha="):
-            return str(_alpha_config(tmp_path, float(arg[6:])))
+            return str(_alpha_config(tmp_path, float(arg[6:]), 2, 1))
+        if arg.startswith("alpha4x3="):
+            return str(_alpha_config(tmp_path, float(arg[9:]), 4, 3))
         return arg
     res = run_cli(*map(resolve, argv))
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
+    assert "nan" not in res.stdout
     if res.returncode == 0 or res.stdout.startswith("cut locus target"):
         assert res.stderr == ""
     else:

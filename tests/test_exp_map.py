@@ -19,7 +19,7 @@ from htcarnot import (
     multiply,
 )
 from htcarnot.catalog import catalog_structure
-from htcarnot.geodesics import _vertical_reach
+from htcarnot.geodesics import _half_angle
 
 from conftest import oracle_exp_neg, seeded_covectors
 
@@ -165,11 +165,19 @@ def test_product_of_exponentials_along_one_block(contact):
     assert np.array_equal(pt.x[2:], np.zeros(2))
 
 
+def vertical_reach(sc, u, r):
+    # F(r) = (r/2) sum_c s_c^2 h3(s_c r) u_c^2 off ker S, the sum that log's
+    # _momentum_at takes for the reach of the lower blocks
+    pos = sc.s_positive
+    s, up = sc.s_diag[pos], u[pos]
+    return 0.5 * r * float((s * s * _half_angle(r * s)[1]) @ (up * up))
+
+
 def test_vertical_part_is_the_vertical_reach(group):
     # exp's z and log's F(r) share one sum: |z| = F(|v|) along v/|v|
     for u, v in seeded_covectors(group, 20, stream=10):
         z = exp_map(group, Covector(u, v)).z
-        reach = _vertical_reach(group, u, float(np.linalg.norm(v)))
+        reach = vertical_reach(group, u, float(np.linalg.norm(v)))
         assert float(np.linalg.norm(z)) == pytest.approx(reach, rel=1e-15, abs=0.0)
 
 

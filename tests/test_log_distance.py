@@ -26,7 +26,8 @@ from htcarnot import (
 from htcarnot.geodesics import (
     _LOG_ENDPOINT,
     _apply_f_inverse,
-    _cut_locus_covector,
+    _f_parts,
+    _invert,
     _reach,
 )
 from htcarnot.structure import GroupSpec, build_structure, l_of_v
@@ -56,7 +57,8 @@ def test_closed_form_reach_matches_exp(reach_group):
         data = reach_data(sc, x)
         for frac in RADIUS_FRACTIONS:
             r = frac * sc.first_conjugate_radius
-            u = _apply_f_inverse(sc, r, x, r * (l_of_v(sc, vhat) @ x))
+            factors = _f_parts(r * sc.s_diag[sc.s_positive])[:2]
+            u = _apply_f_inverse(sc, x, r * (l_of_v(sc, vhat) @ x), *factors)
             z = exp_map(sc, Covector(u, r * vhat)).z
             assert _reach(*data, r) == pytest.approx(np.linalg.norm(z), rel=1e-13)
 
@@ -182,7 +184,8 @@ def test_distance_bound_closed_form_values(name, x, z, expected):
         log_map(sc, target)
     got = distance_bound(sc, target)
     assert got == pytest.approx(expected, abs=1e-12)
-    lam = _cut_locus_covector(sc, target)
+    lam, cut = _invert(sc, target)
+    assert cut
     assert math.hypot(*lam.u) == got
     assert np.linalg.norm(lam.v) == pytest.approx(sc.first_conjugate_radius, rel=1e-15)
     gap = exp_map(sc, lam).as_vector() - target.as_vector()
@@ -204,7 +207,8 @@ def test_cut_locus_endpoint_check_is_relative(contact, z):
     # absolute 1e-8 check took for a miss at these heights
     target = GroupPoint([0.3, -0.2, 0.0, 0.0], [z])
     d = distance(contact, GroupPoint(np.zeros(4), np.zeros(1)), target)
-    lam = _cut_locus_covector(contact, target)
+    lam, cut = _invert(contact, target)
+    assert cut
     assert d.value == math.hypot(*lam.u)
     gap = exp_map(contact, lam).as_vector() - target.as_vector()
     assert np.linalg.norm(gap) <= 1e-14 * z
@@ -288,7 +292,7 @@ def test_exp_log_near_the_vertical_axis(contact, eps):
     try:
         lam = log_map(contact, target)
     except CutLocusTarget:
-        lam = _cut_locus_covector(contact, target)
+        lam, _ = _invert(contact, target)
     goal = target.as_vector()
     residual = np.linalg.norm(exp_map(contact, lam).as_vector() - goal)
     assert residual <= _LOG_ENDPOINT * max(1.0, np.linalg.norm(goal))
@@ -318,6 +322,68 @@ def test_newton_takes_its_last_step(heis):
     lam = log_map(heis, target)
     residual = np.linalg.norm(exp_map(heis, lam).as_vector() - target.as_vector())
     assert residual <= 1e-13
+
+
+# (group, x, z, on the cut locus, u, v, distance) as the two inversion
+# routines that _invert replaced computed them: interior targets, mixed
+# scales, contact12 near its vertical axis, the cut-locus target of each
+# catalog group, z = 0, |z| near 1e-100 and targets far from unit scale
+PINNED_INVERSIONS = [
+    ("heisenberg3", "0.5,0.1", "0.2", False, [-0.3146898032983036, -1.1243118644143315], [4.08220732213335], 1.1675216660785166),
+    ("heisenberg3", "1.3,-0.7", "1.9", False, [-3.1372501720945163, -1.8551201988724606], [4.227276494495743], 3.6446960908382566),
+    ("heisenberg3", "0.5,0.1", "1e-180", False, [0.5, 0.1], [4.615384615384616e-179], 0.5099019513592785),
+    ("contact12", "0.3,-0.2,0.5,0.1", "0.4", False, [-0.007725631310171556, -0.42853809236228085, -0.2598545012067076, -1.09282333200709], [2.0016392918572086], 1.202286063614275),
+    ("contact12", "1,0,0,0", "0.05", False, [0.970526510047899, -0.29648105084751625, 0.0, 0.0], [0.5929621016950324], 1.0148018132706516),
+    ("contact12", "0,0,0.1,0", "1", False, [0.0, 0.0, -2.3879201338649647, -0.30159572811610297], [3.015957281161025], 2.4068906391723646),
+    ("contact12", "3,0,0,0", "0.01", False, [2.999955555950612, -0.01999988148283596, 0.0, 0.0], [0.01333325432189064], 3.0000222220740755),
+    ("htype4x3", "0.3,-0.2,0.5,0.1", "0.1,-0.2,0.3", False, [-0.961259546300975, 1.1039912818787347, 0.018931301371672503, -0.7256774850686492], [1.157878960861879, -2.315757921723758, 3.473636882585637], 1.6339470224968107),
+    ("degenerate-corank1", "0.3,-0.7,0.5,0.2", "0.2", False, [0.3, -0.7, -0.025916292453646166, -1.1551326501267585], [3.947469424638965], 1.3838363680737007),
+    ("contact12", "0.3,-0.2,1e-3,0", "5", False, [-0.3139702073360223, -0.47124287070569987, -5.575313257402265, -0.003141029271983236], [3.141029271983299], 5.603996334627274),
+    ("contact12", "0.3,-0.2,1e-9,0", "5", False, [-0.3141592651698973, -0.4712388980424575, -5.576303827969291, -3.1415911673031262e-09], [3.141592653026411], 5.604991215403047),
+    ("contact12", "0.3,-0.2,1e-12,0", "5", True, [-0.31415926535897937, -0.47123889803846897, 5.576303828958975, 0.0], [3.141592653589793], 5.604991216397928),
+    ("contact12", "0.3,-0.2,1e-16,0", "5", True, [-0.31415926535897937, -0.47123889803846897, 5.576303828958975, 0.0], [3.141592653589793], 5.604991216397928),
+    ("heisenberg3", "0,0", "1", True, [3.5449077018110318, 0.0], [6.283185307179586], 3.5449077018110318),
+    ("contact12", "0,0,0,0", "1.3", True, [0.0, 0.0, 2.8579959585929195, 0.0], [3.141592653589793], 2.8579959585929195),
+    ("contact12", "0.3,-0.2,0,0", "1.5", True, [-0.31415926535897937, -0.47123889803846897, 3.017286167690094, 0.0], [3.141592653589793], 3.0699801238394655),
+    ("htype4x3", "0,0,0,0", "0.3,0.4,-0.5", True, [2.9809001788581804, 0.0, 0.0, 0.0], [2.6657297628950194, 3.554306350526693, -4.442882938158366], 2.9809001788581804),
+    ("degenerate-corank1", "0.3,-0.7,0,0", "0.2", True, [0.3, -0.7, 1.5853309190424043, 0.0], [6.283185307179586], 1.7587706282718716),
+    ("heisenberg3", "1,0", "0", False, [1.0, 0.0], [0.0], 1.0),
+    ("htype4x3", "0.3,0.1,0,0", "0,0,0", False, [0.3, 0.1, 0.0, 0.0], [0.0, 0.0, 0.0], 0.31622776601683794),
+    ("heisenberg3", "0,0", "1e-100", True, [3.544907701811032e-50, 0.0], [6.283185307179586], 3.544907701811032e-50),
+    ("heisenberg3", "1e-50,0", "1e-100", False, [-1.552959421187537e-50, -2.188036206506444e-50], [4.376072413012888], 2.6831297778598483e-50),
+    ("contact12", "0.3,-0.2,1e-50,0", "1e-100", False, [0.3, -0.2, 1e-50, -9.230769230769232e-149], [9.230769230769232e-99], 0.3605551275463989),
+    ("heisenberg3", "0,0", "1e-200", True, [3.544907701811032e-100, 0.0], [6.283185307179586], 3.544907701811032e-100),
+    ("heisenberg3", "1e-200,0", "1e-200", True, [3.544907701811032e-100, 0.0], [6.283185307179586], 3.544907701811032e-100),
+    ("heisenberg3", "1e160,0", "1e300", False, [1e+160, -6.000000000000002e+140], [1.2000000000000004e-19], 1e+160),
+    ("heisenberg3", "1,0", "1e308", True, [3.5449077018110323e+154, 0.0], [6.283185307179586], 3.5449077018110323e+154),
+    ("heisenberg3", "1e155,0", "1e155", False, [1e+155, -6.000000000000001], [1.2000000000000001e-154], 1e+155),
+]
+
+
+@pytest.mark.parametrize("name, x, z, cut, u, v, dist", PINNED_INVERSIONS)
+def test_inversion_keeps_its_bits(name, x, z, cut, u, v, dist):
+    sc = catalog_structure(name)
+    target = GroupPoint([float(c) for c in x.split(",")], [float(c) for c in z.split(",")])
+    lam, on_cut_locus = _invert(sc, target)
+    assert on_cut_locus == cut
+    assert lam.u.tolist() == u and lam.v.tolist() == v
+    origin = GroupPoint(np.zeros(sc.rank), np.zeros(sc.corank))
+    assert distance(sc, origin, target).value == dist
+    if cut:
+        assert distance_bound(sc, target) == dist
+        with pytest.raises(CutLocusTarget):
+            log_map(sc, target)
+    else:
+        assert np.array_equal(log_map(sc, target).as_vector(), lam.as_vector())
+
+
+def test_distance_bound_rejects_interior_targets_near_the_axis(contact):
+    # x_top = 1e-9 puts the root inside the domain, within about 1e-9 of R;
+    # the cut-locus formula with x_top dropped missed by only 1e-9 there
+    target = GroupPoint([0.3, -0.2, 1e-9, 0.0], [5.0])
+    assert not _invert(contact, target)[1]
+    with pytest.raises(NoCandidateFound):
+        distance_bound(contact, target)
 
 
 def test_distance_bound_rejects_reachable_targets(heis):

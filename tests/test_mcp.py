@@ -765,3 +765,75 @@ def test_huge_u_box_has_no_nan(heis):
                                            rel=1e-14)
     curved = mcp_report(heis, -1.0, 5.0, box, [0.5], 8)
     assert curved.ratios == flat.ratios and curved.bounds == (0.0,) and curved.passed
+
+
+def _one_block(rank, corank, alpha):
+    # the one-block H-type group of the given shape, all eigenvalues alpha
+    return build_structure(GroupSpec(rank=rank, corank=corank,
+                                     spectrum=((alpha, rank // 2),)))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (4, 3)])
+@pytest.mark.parametrize("j", [-600, 600])
+def test_ratios_are_invariant_under_scaling_alpha_against_v(shape, j):
+    # J depends on v through the angles alpha |v| and on alpha through the
+    # squares in its weights, which cancel in every ratio: alpha = 2^j on the
+    # v-corners times 2^-j is the alpha = 1 box, bit for bit.  The squares of
+    # alpha and the v-weights left the float range (ZeroDivisionError at
+    # alpha^2 = 0, nan at inf/inf) before both were scaled by powers of two.
+    unit, far = _one_block(*shape, 1.0), _one_block(*shape, 2.0**j)
+    k = unit.rank
+    box = default_box(unit)
+    scaled = CovectorBox(np.concatenate((box.lower[:k], np.ldexp(box.lower[k:], -j))),
+                         np.concatenate((box.upper[:k], np.ldexp(box.upper[k:], -j))))
+    ts = [0.1, 0.5, 0.9]
+    n = geodesic_dimension(unit.spec)
+    for K in (0.0, -1.0):
+        want = mcp_report(unit, K, n, box, ts, 5)
+        got = mcp_report(far, K, n, scaled, ts, 5)
+        assert got.ratios == want.ratios and got.bounds == want.bounds
+
+
+@pytest.mark.parametrize("alpha", [2.0**-600, 1e-300, 1e60, 1e300])
+def test_jacobian_contraction_at_extreme_alpha(alpha):
+    # every margin read nan there (inf/inf or 0/0), and min() skipped them
+    # to report inf and a pass
+    rep = check_jacobian_contraction(_one_block(4, 3, alpha), 50, (0.1, 0.5, 0.9))
+    assert math.isfinite(rep.min_margin) and rep.passed
+
+
+def test_jacobian_contraction_fails_on_nan_margins(heis, monkeypatch):
+    monkeypatch.setattr(mcp_module, "_jacobian_core",
+                        lambda alphas, pairs, corank, q, vnorm: np.full(vnorm.shape, np.nan))
+    rep = check_jacobian_contraction(heis, 5, (0.5,))
+    assert math.isnan(rep.min_margin) and not rep.passed
+
+
+def test_box_beyond_the_radius_is_rejected_at_tiny_v():
+    # |v| = 2e-299 squares to 0 in an unscaled norm, which passed the box
+    sc = _one_block(2, 1, 1e300)
+    with pytest.raises(BoxOutsideDomain, match="leaves the injectivity domain"):
+        _require_box_in_domain(sc, CovectorBox([0.5, 0.5, 1e-299], [1.5, 1.5, 2e-299]))
+
+
+@pytest.mark.parametrize("shrink", [0, 3])
+def test_sharpness_box_keeps_the_catalog_width(group, shrink):
+    # the v half-width is min(1e-3, delta/2), which is 1e-3 wherever R >= 2:
+    # the box of a half-width 1e-3 in every coordinate, bit for bit
+    factor = 0.5**shrink
+    center = np.zeros(group.dim)
+    center[int(group.blocks[0].indices[0])] = 1.0
+    center[group.rank] = 1e-3 * group.first_conjugate_radius * factor
+    box = sharpness_box(group, shrink=shrink)
+    assert np.array_equal(box.lower, center - 1e-3 * factor)
+    assert np.array_equal(box.upper, center + 1e-3 * factor)
+
+
+@pytest.mark.parametrize("alpha", [6.3e3, 1e4, 1e300])
+def test_sharpness_box_stays_in_the_domain_at_large_alpha(alpha):
+    # with a v half-width of 1e-3, |v| passed R = 2 pi / alpha from about
+    # alpha = 6.3e3 on, and sharpness exited 3
+    sc = _one_block(4, 3, alpha)
+    _require_box_in_domain(sc, sharpness_box(sc))
+    box, rep = sharpness_witness(sc, 0.5)
+    assert rep.passed

@@ -1,0 +1,149 @@
+"""Byte check of a fixed list of catalog commands.
+
+Runs every command of :func:`commands` in process through ``cli.main``,
+against whatever ``htcarnot`` is importable, and prints one line per
+command: the exit code, then the SHA-256 of its stdout, its stderr and the
+CSV it wrote to ``--out`` ("-" where it wrote none), each cut to 16 hex
+digits, then the command itself.  An exception that escapes ``cli.main``
+counts as exit 1, with its type and message as stderr.  Run it on two
+checkouts and diff the outputs to see which commands changed which bytes:
+
+    PYTHONPATH=src python tools/bytecheck.py > after.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+from htcarnot import catalog_names, catalog_structure, cli
+
+# near the vertical axis of contact12: x_top = eps, from inside the domain
+# to the cut locus
+NEAR_AXIS = ("1e-3", "1e-9", "1e-12", "1e-16")
+
+# (group, x, z) for log: interior targets, mixed scales, z = 0, the identity,
+# the cut-locus target of each catalog group, |z| near 1e-100 and targets
+# far from unit scale
+LOG_TARGETS = [
+    ("heisenberg3", "0.5,0.1", "0.2"),
+    ("heisenberg3", "1.3,-0.7", "1.9"),
+    ("heisenberg3", "0.5,0.1", "1e-180"),
+    ("contact12", "0.3,-0.2,0.5,0.1", "0.4"),
+    ("contact12", "1,0,0,0", "0.05"),
+    ("contact12", "0,0,0.1,0", "1"),
+    ("contact12", "3,0,0,0", "0.01"),
+    ("htype4x3", "0.3,-0.2,0.5,0.1", "0.1,-0.2,0.3"),
+    ("degenerate-corank1", "0.3,-0.7,0.5,0.2", "0.2"),
+    *[("contact12", f"0.3,-0.2,{eps},0", "5") for eps in NEAR_AXIS],
+    ("heisenberg3", "0,0", "1"),
+    ("contact12", "0,0,0,0", "1.3"),
+    ("contact12", "0.3,-0.2,0,0", "1.5"),
+    ("htype4x3", "0,0,0,0", "0.3,0.4,-0.5"),
+    ("degenerate-corank1", "0.3,-0.7,0,0", "0.2"),
+    ("heisenberg3", "1,0", "0"),
+    ("htype4x3", "0.3,0.1,0,0", "0,0,0"),
+    ("heisenberg3", "0,0", "0"),
+    ("heisenberg3", "0,0", "1e-100"),
+    ("heisenberg3", "1e-50,0", "1e-100"),
+    ("contact12", "0.3,-0.2,1e-50,0", "1e-100"),
+    ("heisenberg3", "0,0", "1e-200"),
+    ("heisenberg3", "1e-200,0", "1e-200"),
+    ("heisenberg3", "1e160,0", "1e300"),
+    ("heisenberg3", "1,0", "1e308"),
+    ("heisenberg3", "1e155,0", "1e155"),
+    ("heisenberg3", "1.7e308,1e308", "1e300"),
+]
+
+# (rank, corank, alpha) of the one-block spectral configs far from unit scale
+EXTREME_ALPHAS = ("1e-300", "1e-200", "1e-100", "1e-60", "1e60", "1e100", "1e200", "1e300")
+SHAPES = ((2, 1), (4, 3))
+
+
+def _config(workdir: Path, rank: int, corank: int, alpha: str) -> str:
+    path = workdir / f"alpha-{alpha}-{rank}x{corank}.json"
+    path.write_text(json.dumps({
+        "rank": rank, "corank": corank, "kernel_dim": 0,
+        "spectrum": [{"alpha": float(alpha), "pair_multiplicity": rank // 2}],
+    }))
+    return str(path)
+
+
+def commands(workdir: Path) -> list[list[str]]:
+    """Every argv of the check; config files and --out paths lie in workdir."""
+    csv = ["--out", str(workdir / "out.csv")]
+    argvs = []
+    for name in catalog_names():
+        sc = catalog_structure(name)
+        group = ["--group", name]
+        u = ",".join(["1", "0.3", "-0.5", "0.8"][:sc.rank])
+        v = ",".join(["1.1", "0.4", "-0.5"][:sc.corank])
+        vfar = ",".join(["4.1", "1.4", "-2.5"][:sc.corank])
+        n = repr(sc.rank + 3 * sc.corank - 0.5)
+        argvs.append(["validate", *group])
+        argvs += [["exp", *group, f"--u={u}", f"--v={vv}", "--steps", "20", *csv]
+                  for vv in (v, vfar)]
+        argvs += [["mcp", *group, f"--K={K}", f"--N={n}", "--quad", quad, "--box", box, *csv]
+                  for K in ("0", "-1", "-3") for quad in ("5", "8")
+                  for box in ("default", "sharpness")]
+        argvs.append(["sharpness", *group, *csv])
+    argvs += [["log", "--group", name, f"--x={x}", f"--z={z}"] for name, x, z in LOG_TARGETS]
+    for alpha in EXTREME_ALPHAS:
+        for rank, corank in SHAPES:
+            config = _config(workdir, rank, corank, alpha)
+            argvs.append(["validate", config])
+            argvs.append(["exp", config, "--u=" + ",".join(["1", "0.3", "-0.5", "0.8"][:rank]),
+                          "--v=" + ",".join(["1", "0", "0"][:corank]), "--steps", "4", *csv])
+            argvs += [["mcp", config, f"--K={K}", "--quad", "5", *csv] for K in ("0", "-1")]
+    argvs += [["mcp", _config(workdir, *shape, alpha), *csv]
+              for shape, alpha in (((2, 1), "1e-200"), ((4, 3), "1e-60"), ((4, 3), "1e60"))]
+    argvs.append(["mcp", _config(workdir, 2, 1, "1e300"),
+                  "--box=0.5,0.5,1e-299;1.5,1.5,2e-299", *csv])
+    for rank, corank in SHAPES:
+        config = _config(workdir, rank, corank, "1e4")
+        argvs += [["sharpness", config, *csv], ["mcp", config, "--box", "sharpness", *csv]]
+    argvs += [["log", _config(workdir, 2, 1, alpha), "--x=0,0", "--z=1"]
+              for alpha in ("1e-200", "1e160")]
+    return argvs
+
+
+def _digest(data: bytes | None) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()[:16]
+
+
+def run(argv: list[str], out: Path) -> tuple[int, bytes, bytes, bytes | None]:
+    """Exit code, stdout, stderr and CSV bytes of one command, in process."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:  # a traceback on the command line
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
+    csv = out.read_bytes() if out.exists() else None
+    return code, stdout.getvalue().encode(), stderr.getvalue().encode(), csv
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for argv in commands(workdir):
+            code, stdout, stderr, csv = run(argv, workdir / "out.csv")
+            shown = " ".join(argv).replace(str(workdir), "$WORKDIR")
+            print(code, _digest(stdout), _digest(stderr), _digest(csv), shown)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
