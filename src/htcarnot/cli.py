@@ -38,11 +38,10 @@ from .errors import (
 )
 from .geodesics import (
     Covector,
+    _invert,
     cut_time,
-    distance_bound,
     geodesic_sample,
     in_injectivity_domain,
-    log_map,
 )
 from .group import GroupPoint
 from .mcp import (
@@ -238,16 +237,15 @@ def cmd_exp(args) -> int:
 
 def cmd_log(args) -> int:
     sc = _structure(args)
-    target = GroupPoint(args.x, args.z)
-    try:
-        lam = log_map(sc, target)
-    except CutLocusTarget:
-        bound = distance_bound(sc, target)
+    # one solve serves both answers: log_map's covector, or on the cut
+    # locus the covector whose |u| distance_bound returns
+    lam, cut = _invert(sc, GroupPoint(args.x, args.z))
+    dist = math.hypot(*lam.u)
+    if cut:
         print("cut locus target: no covector in the injectivity domain "
               "reaches this point")
-        print(f"distance upper bound: {_fmt(bound)}")
+        print(f"distance upper bound: {_fmt(dist)}")
         return EXIT_PROPERTY
-    dist = math.hypot(*lam.u)
     _say(args, "u = " + ",".join(_fmt(c) for c in lam.u))
     _say(args, "v = " + ",".join(_fmt(c) for c in lam.v))
     _say(args, f"distance = {_fmt(dist)}")

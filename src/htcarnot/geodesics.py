@@ -19,10 +19,12 @@ exception is log_map's F and F' (:func:`unit_reach`, :func:`unit_reach_slope`),
 see there.
 
 One routine, :func:`_invert`, inverts exp for log_map, distance and
-distance_bound.  It dilates the target to unit scale, solves F(r) = |z| for
-|v| = r, or takes the cut locus |v| = R = 2 pi / alpha_max where no root
-lies below R, builds u from one kernel evaluation, checks the endpoint
-against one tolerance, and says which of the two branches ran.
+distance_bound.  It carries every target, by one exact map, into the
+structure's unit frame (alpha_max in [1/2, 1)) at unit scale, solves
+F(r) = |z| for |v| = r there, or takes the cut locus |v| = R = 2 pi /
+alpha_max where no root lies below R, builds u from one kernel evaluation,
+checks the endpoint against one tolerance, maps the covector back, and
+says which of the two branches ran.
 """
 
 from __future__ import annotations
@@ -45,16 +47,6 @@ from .group import GroupPoint, _check_point, inverse, multiply
 from .structure import StructureConstants, l_of_v
 
 _SMALL_THETA = 0.5
-
-# exp and log are dilation-equivariant, exp(eps u, v) = delta_eps exp(u, v)
-# and log(delta_eps p) = (eps u, v) with delta_eps (x, z) = (eps x, eps^2 z),
-# and in range a power of two scales every rounding exactly.  So exp works on
-# u dilated to unit scale, and log on targets dilated to unit scale where
-# their coordinates or squares would leave the normal float range: log's
-# endpoint tolerance, 1e-10 max(1, |target|), is not dilation-invariant, so
-# only targets outside the band are dilated.  The band leaves room for the
-# weights that multiply the squares.
-_SCALE_BAND = (2.0**-400, 2.0**400)
 
 # From this angle on, sin(theta)/theta is below 6e-20, so (theta - sin theta)
 # / theta^2 rounds to 1/theta; far below the angles near 7e102 where the
@@ -245,10 +237,13 @@ def _exp_rows(sc, u, v):
     #     z = (1/2) sum_c s_c (theta_c h3(theta_c)) u_c^2 vhat,
     # and |z| is the vertical reach of _momentum_at.  theta h3(theta) =
     # (theta - sin theta)/theta^2 is taken as 1/theta from _LARGE_ANGLE on.
-    # + 0.0 turns the -0.0 of t = 0 rows (t u and t v) into 0.0 in x and z.  On ker S, f(L_v) is the identity and
-    # s_c = 0, so the kernel only sees the coordinates with s_c > 0.  u is
-    # dilated to unit scale first, so that its squares stay in the normal
-    # range (see _SCALE_BAND); |v| is a chain of hypot, which squares nothing.
+    # + 0.0 turns the -0.0 of t = 0 rows (t u and t v) into 0.0 in x and z.
+    # On ker S, f(L_v) is the identity and s_c = 0, so the kernel only sees
+    # the coordinates with s_c > 0.  exp is dilation-equivariant,
+    # exp(eps u, v) = (eps x, eps^2 z), and a power of two scales every
+    # rounding exactly, so u is dilated to unit scale first and its squares
+    # stay in the normal range; |v| is a chain of hypot, which squares
+    # nothing.
     e = _dilation_exponent(float(np.abs(u).max())) if u.size else 0
     u = np.ldexp(u, -e)
     vn = np.hypot.reduce(np.abs(v), axis=1, keepdims=True)
@@ -436,7 +431,10 @@ def _momentum_at(sc, x, zn, vhat, r):
     # no direction to scale, and u_top = 0.  The kernel runs once, at the
     # angles r s_c off ker S: its factors give f(L_v)^{-1}, the lower reach
     # (r/2) sum_c s_c^2 h3(r s_c) u_c^2 and c, at the top block's angle
-    # r alpha_max.
+    # r alpha_max.  w is not scale-free: it weighs an error of one in x_top
+    # against an error of one in |z|.  _invert calls this in the unit frame
+    # at unit scale, where alpha_max and max(|x|, sqrt|z|) lie in [1/2, 1),
+    # so those are the units of w at every alpha and every target scale.
     pos = sc.s_positive
     s = sc.s_diag[pos]
     sinc, sinc_half, h3 = _f_parts(r * s)
@@ -496,14 +494,16 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     (0, R), which is injectivity of exp on D, so the scan finds at most one
     bracket.
 
-    A target whose coordinates or squares would leave the normal float range
-    is solved, and checked, on its dilation by an exact power of two 2^-e,
-    and the covector (2^e u, v) is returned (see _SCALE_BAND).
+    Every target is solved, and checked, on one exact image: in the
+    structure's unit frame (``sc.unit_frame``, alpha_max times 2^-a in
+    [1/2, 1)) and dilated to unit scale, (x, z) -> (2^-e x, 2^(-2e-a) z)
+    with max(|x|, sqrt(2^-a |z|)) 2^-e in [1/2, 1).  The covector found
+    there maps back as (2^e u, 2^-a v).
 
     Raises CutLocusTarget when no root exists (the target is not in the
     diffeomorphic image; :func:`distance_bound` gives its distance),
     NoCandidateFound when the scan finds several brackets or the covector
-    misses the target by more than the endpoint tolerance
+    misses the unit-scale target by more than the endpoint tolerance
     1e-10 max(1, |target|), and IdentityTarget for the identity.
     """
     lam, cut = _invert(sc, target)
@@ -515,15 +515,15 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     return lam
 
 
-def _at_unit_scale(target: GroupPoint) -> tuple[GroupPoint, int]:
-    # (target dilated by 2^-e, e): e = 0 inside the band, else the exponent
-    # that brings the target's coordinates and squares to unit scale
-    x, z = target.x.tolist(), target.z.tolist()
-    scale = max(max(map(abs, x)), math.sqrt(max(map(abs, z))))
-    if _SCALE_BAND[0] <= scale <= _SCALE_BAND[1]:
-        return target, 0
-    e = _dilation_exponent(scale)
-    return GroupPoint(np.ldexp(target.x, -e), np.ldexp(target.z, -2 * e)), e
+def _target_exponent(target: GroupPoint, a: int) -> int:
+    # e with max(|x|, sqrt(2^-a |z|)) 2^-e in [1/2, 1), from the exponents
+    # of max |x| and max |z|: neither 2^-a |z| nor a square root is formed,
+    # so nothing can leave the float range on the way
+    xmax, zmax = max(map(abs, target.x.tolist())), max(map(abs, target.z.tolist()))
+    exponents = [_dilation_exponent(xmax)] if xmax else []
+    if zmax:
+        exponents.append((_dilation_exponent(zmax) - a + 1) // 2)
+    return max(exponents, default=0)
 
 
 def _reach_root(sc, x, zn):
@@ -593,44 +593,47 @@ def _reach_root(sc, x, zn):
 
 
 def _invert(sc, target: GroupPoint) -> tuple[Covector, bool]:
-    # (minimizing covector, on the cut locus).  With z = 0 the covector is
-    # the straight line (x, 0); on the cut locus x is zeroed on the top
-    # eigenblock, which f(L_v) annihilates at |v| = R.  The endpoint check
-    # is relative, because the endpoint carries the rounding of coordinates
-    # of size |target|, and takes scaled norms, whose squares cannot
-    # overflow to an inf tolerance.
+    # (minimizing covector, on the cut locus), solved on the target's image
+    # in the unit frame at unit scale (see log_map).  log is
+    # dilation-equivariant, log(delta_eps p) = (eps u, v) with
+    # delta_eps (x, z) = (eps x, eps^2 z), and a power of two scales every
+    # rounding exactly, so the root and v keep their bits at every scale,
+    # and the endpoint check, relative to the unit-scale target, is the same
+    # at every scale.  With z = 0 the covector is the straight line (x, 0);
+    # on the cut locus x is zeroed on the top eigenblock, which f(L_v)
+    # annihilates at |v| = R.
     _check_point(sc, target)
-    target, e = _at_unit_scale(target)
-    zn = math.hypot(*target.z)
+    fr, a = sc.unit_frame, sc.unit_exponent
+    e = _target_exponent(target, a)
+    x, z = np.ldexp(target.x, -e), np.ldexp(target.z, -2 * e - a)
+    zn = math.hypot(*z)
     cut = False
     if zn == 0.0:
-        if not np.any(target.x):
+        if not np.any(x):
             raise IdentityTarget("log of the identity is not defined")
-        lam = Covector(target.x.copy(), np.zeros(sc.corank))
+        lam = Covector(x, np.zeros(sc.corank))
     else:
-        x, r = target.x, _reach_root(sc, target.x, zn)
+        goal = np.concatenate((x, z))
+        r = _reach_root(fr, x, zn)
         cut = r is None
         if cut:
-            x, r = x.copy(), sc.first_conjugate_radius
-            x[sc.blocks[-1].indices] = 0.0
-        vhat = target.z / zn
-        lam = Covector(_momentum_at(sc, x, zn, vhat, r), r * vhat)
-        goal = target.as_vector()
-        residual = math.hypot(*(exp_map(sc, lam).as_vector() - goal))
+            r = fr.first_conjugate_radius
+            x[fr.blocks[-1].indices] = 0.0
+        vhat = z / zn
+        lam = Covector(_momentum_at(fr, x, zn, vhat, r), r * vhat)
+        residual = math.hypot(*(exp_map(fr, lam).as_vector() - goal))
         tol = _LOG_ENDPOINT * max(1.0, math.hypot(*goal))
         if not residual <= tol:
             raise NoCandidateFound(
                 f"the covector misses the target by {residual:.3e} > {tol:.3e}; "
                 + ("on the cut locus x must vanish on the top eigenblock" if cut
                    else "this indicates a synthesis bug"))
-    if e:
-        with np.errstate(over="ignore"):
-            u = np.ldexp(lam.u, e)
-        # the distance |u| must be a float too, as it is at every target in the band
-        if not math.isfinite(math.hypot(*u.tolist())):
-            raise ValueError("the covector's length |u| is beyond the float range")
-        lam = Covector(u, lam.v)
-    return lam, cut
+    with np.errstate(over="ignore"):
+        u, v = np.ldexp(lam.u, e), np.ldexp(lam.v, -a)
+    # the distance |u| must be a float too
+    if not math.isfinite(math.hypot(*u.tolist())):
+        raise ValueError("the covector's length |u| is beyond the float range")
+    return Covector(u, v), cut
 
 
 @dataclass(frozen=True)
@@ -673,8 +676,8 @@ def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
     NoCandidateFound for a target in the diffeomorphic image (its distance
     is |u| of log_map) or when the endpoint misses the target by more than
     1e-10 max(1, |target|), ValueError for z = 0 (straight lines) and
-    IdentityTarget for the identity.  Targets far from unit scale are
-    handled as in :func:`log_map`.
+    IdentityTarget for the identity.  Every target is solved in the unit
+    frame at unit scale, as in :func:`log_map`.
     """
     lam, cut = _invert(sc, target)
     if cut:

@@ -182,17 +182,16 @@ def check_jacobian_contraction(sc: StructureConstants, samples: int, t_grid,
     # kernel coordinates contribute the factor 1 and the weights 0, and their
     # zero angles would force both branches of the scalar helpers
     pos = sc.s_positive
-    # as in _box_jacobian_integral, v at unit scale and the alphas times
-    # 2^-e_alpha; |v| times 2^e_alpha keeps every angle alpha |v| bit for bit,
-    # and J scales by 4^(-e_alpha p) in both terms of each margin
-    e_alpha = _dilation_exponent(sc.alpha_max)
-    alphas = np.ldexp(sc.s_diag[pos], -e_alpha)
+    # J in the unit frame, with v at unit scale as in _box_jacobian_integral:
+    # the alphas times 2^-a and |v| times 2^a keep every angle alpha |v| bit
+    # for bit, and J scales by 4^(-a p) in both terms of each margin
+    alphas = sc.unit_frame.s_diag[pos]
     e_v = _unit_corners(box.lower[k:], box.upper[k:])[2]
     minima = [math.inf]
     for rows in _row_batches(samples, scales.size * k):
         u = scales * draws[rows, None, pos]
         v = scales * np.ldexp(draws[rows, None, k:], -e_v)
-        vn = np.ldexp(np.linalg.norm(v, axis=-1), e_v + e_alpha)
+        vn = np.ldexp(np.linalg.norm(v, axis=-1), e_v + sc.unit_exponent)
         jac = _jacobian_core(alphas, 0.5, p, u * u, vn)
         margins = jac[:, 1:] / (t_pow * jac[:, :1]) - 1.0
         if margins.size:
@@ -327,8 +326,11 @@ def _u_moment_table(sc, u_lo, u_hi, quad: int, degree: int = 0, interval=None):
     from the power sums sum_x w x^(2e) s^i, s = (x^2 - m_c) / h: a block's
     table of q_b^d y_b^j is the binomial product of its coordinates' tables,
     and M the binomial product of the block rows delta_b and of the kernel
-    coordinates' y-moments.  The column j = 0 integrates q^delta exactly
-    (quad >= 4 >= p + 1).  Identical sums to the full tensor rule,
+    coordinates' y-moments.  The column j = 0 integrates q^delta, a
+    polynomial of degree 2p in each coordinate, exactly only for
+    quad >= p + 1; quad 4 to p carry a quadrature error (on the rank-8,
+    corank-7 default box at t = 0.5, the ratio at quad 6 differs from its
+    quad 8 value by 5e-11).  Identical sums to the full tensor rule,
     reorganized.
     """
     p = sc.corank
@@ -376,13 +378,13 @@ def _jacobian_expansion(sc, theta):
     squared block norms of u.  Returns pref and the list of c_delta in the
     order of _deltas.  c_delta sums multinom(gamma) a^gamma b_i over the i
     with gamma = delta - e_i >= 0, in order of i.  The weights a and b take
-    the alphas times 2^-e, e the exponent of alpha_max, so that their
-    squares stay in range at every alpha; that scales every c_delta by the
-    same 4^(-e p), exactly, which the ratios and averages of J cancel.
+    the alphas of the unit frame, whose squares stay in range at every
+    alpha; that scales every c_delta by the same 4^(-a p), a =
+    sc.unit_exponent, exactly, which the ratios and averages of J cancel.
     """
     p = sc.corank
-    alphas = np.ldexp(sc.block_alphas(), -_dilation_exponent(sc.alpha_max))
-    pref, a, b = _jacobian_factors(alphas, sc.block_pairs(), theta)
+    fr = sc.unit_frame
+    pref, a, b = _jacobian_factors(fr.block_alphas(), fr.block_pairs(), theta)
     d = a.shape[-1]
     agams = {}
     coeffs = []
@@ -517,13 +519,15 @@ def sharpness_box(sc: StructureConstants, shrink: int = 0) -> CovectorBox:
     Centered at u = first non-kernel basis direction, v = delta * e1 with
     delta = 1e-3 R; half-widths 1e-3 in every u coordinate and
     min(1e-3, delta/2) in every v coordinate, so that |v| stays below R at
-    every alpha_max (the two agree wherever R >= 2).  Both delta and the
-    half-widths halve with each shrink step.
+    every alpha_max (the two agree wherever R >= 2), and at least
+    delta 2^-10, which takes over from R = 1024 on and keeps the v corners
+    apart from delta where 1e-3 falls below its rounding.  Both delta and
+    the half-widths halve with each shrink step.
     """
     factor = 0.5**shrink
     delta = 1e-3 * sc.first_conjugate_radius * factor
     half = np.full(sc.dim, 1e-3 * factor)
-    half[sc.rank:] = min(half[0], 0.5 * delta)
+    half[sc.rank:] = max(min(half[0], 0.5 * delta), delta * 2.0**-10)
     center = np.zeros(sc.dim)
     first = int(sc.blocks[0].indices[0])
     center[first] = 1.0

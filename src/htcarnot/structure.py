@@ -15,7 +15,7 @@ governs which (rank, corank, spectrum) combinations are realizable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -329,12 +329,37 @@ class StructureConstants:
 
     @property
     def alpha_max(self) -> float:
-        return self.spec.alpha_max
+        return self.blocks[-1].alpha
 
     @property
     def first_conjugate_radius(self) -> float:
         """The vertical-momentum radius 2*pi/alpha_max bounding the injectivity domain."""
         return 2.0 * np.pi / self.alpha_max
+
+    @cached_property
+    def unit_exponent(self) -> int:
+        """a with alpha_max 2^-a in [1/2, 1): the exponent of :attr:`unit_frame`."""
+        return math.frexp(self.alpha_max)[1]
+
+    @cached_property
+    def unit_frame(self) -> "StructureConstants":
+        """This group in the frame where alpha_max lies in [1/2, 1).
+
+        With a = unit_exponent, (x, z) -> (x, 2^-a z) maps the group of
+        (S, L) onto the group of (2^-a S, 2^-a L), and covectors map as
+        (u, v) -> (u, 2^a v): every angle s_c |v| keeps its bits, lengths
+        |u| are unchanged, J scales by 4^(-a p), and R = 2 pi / alpha_max
+        lies in (2 pi, 4 pi].  The frame holds S, L and the block alphas
+        times 2^-a, exactly wherever they stay in the normal float range,
+        and shares this structure's spec, whose spectrum stays in the
+        user's units.  It runs no spec check: an alpha far below alpha_max,
+        such as 1e-300 beside 1e300, rounds to 0 in the frame, where its
+        block acts as ker S.
+        """
+        a = self.unit_exponent
+        return replace(self, S=np.ldexp(self.S, -a), L=np.ldexp(self.L, -a),
+                       blocks=tuple(SpectralBlock(math.ldexp(b.alpha, -a), b.indices)
+                                    for b in self.blocks))
 
     def block_alphas(self) -> np.ndarray:
         return np.array([b.alpha for b in self.blocks])

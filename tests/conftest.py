@@ -11,6 +11,7 @@ from htcarnot import (
     exp_map,
     generator,
 )
+from htcarnot.structure import GroupSpec, build_structure
 
 
 @pytest.fixture(scope="session")
@@ -74,6 +75,12 @@ def seeded_covectors(sc, count, stream, vmax_frac=0.95, su_min=0.1):
         r = rng.uniform(0.05, vmax_frac) * sc.first_conjugate_radius
         out.append((u, r * direction))
     return out
+
+
+def one_block(rank, corank, alpha):
+    """The one-block H-type group of the given shape, all eigenvalues alpha."""
+    return build_structure(GroupSpec(rank=rank, corank=corank,
+                                     spectrum=((alpha, rank // 2),)))
 
 
 def reach_data(sc, x):

@@ -426,6 +426,12 @@ def _alpha_config(tmp_path, alpha, rank, corank):
     })
 
 
+# rank 4, corank 1 and alphas 1e-300 and 1e300
+WIDE_SPECTRUM = {"rank": 4, "corank": 1, "kernel_dim": 0,
+                 "spectrum": [{"alpha": 1e-300, "pair_multiplicity": 1},
+                              {"alpha": 1e300, "pair_multiplicity": 1}]}
+
+
 # (config, u, v): one-block configs far from alpha = 1, "alpha=" of rank 2
 # and corank 1, "alpha4x3=" of rank 4 and corank 3, and a covector for exp
 EXTREME_ALPHA_CONFIGS = [("alpha=1e-200", "1,0.3", "1"),
@@ -474,6 +480,23 @@ EXTREME_ALPHA_CONFIGS = [("alpha=1e-200", "1,0.3", "1"),
     # the covector is representable but its length |u| is not
     pytest.param(["log", "--group", "heisenberg3", "--x=1.7e308,1e308", "--z=1e300"], 3,
                  id="log-length-overflow"),
+    # alpha^2 in log left the float range (ZeroDivisionError, OverflowError)
+    *[pytest.param(["log", f"alpha={alpha}", f"--x={x}", "--z=1"], code,
+                   id=f"log-alpha-{alpha}-x-{x}")
+      for alpha, x, code in (("1e-200", "0,0", 2), ("1e-200", "1,0", 2),
+                             ("1e160", "0,0", 2), ("1e160", "1,0", 0))],
+    # the sharpness box's v half-width 1e-3 fell below one ulp of delta = 1e-3 R
+    *[pytest.param(["sharpness", f"alpha={alpha}"], 0, id=f"sharpness-alpha-{alpha}")
+      for alpha in ("1e-16", "1e-300")],
+    *[pytest.param(["mcp", f"alpha4x3={alpha}", "--box", "sharpness", "--t-grid", "0.5"], 0,
+                   id=f"mcp-sharpness-box-alpha-{alpha}") for alpha in ("1e-16", "1e-300")],
+    # alphas 1e-300 and 1e300: the smaller rounds to 0 in the unit frame
+    *[pytest.param([command, "wide", *extra], 0, id=f"wide-spectrum-{command}")
+      for command, extra in (("validate", []), ("exp", ["--u=1,0.3,-0.5,0.8", "--v=1e-301"]),
+                             ("mcp", ["--quad", "5"]))],
+    # log raised OverflowError there
+    *[pytest.param(["log", "wide", f"--x={x}", "--z=1"], code, id=f"wide-spectrum-log-x-{x}")
+      for x, code in (("1,0,0.5,0", 0), ("0,0,0,0", 2))],
 ])
 def test_bad_and_extreme_inputs_exit_codes(tmp_path, argv, code):
     # each check runs once, in the layer that owns it; no input gives a
@@ -485,6 +508,8 @@ def test_bad_and_extreme_inputs_exit_codes(tmp_path, argv, code):
             return str(_alpha_config(tmp_path, float(arg[6:]), 2, 1))
         if arg.startswith("alpha4x3="):
             return str(_alpha_config(tmp_path, float(arg[9:]), 4, 3))
+        if arg == "wide":
+            return str(write_config(tmp_path, WIDE_SPECTRUM))
         return arg
     res = run_cli(*map(resolve, argv))
     assert res.returncode == code, res.stderr

@@ -32,7 +32,7 @@ from htcarnot.geodesics import (
 )
 from htcarnot.structure import GroupSpec, build_structure, l_of_v
 
-from conftest import edge_log_targets, reach_data, seeded_covectors
+from conftest import edge_log_targets, one_block, reach_data, seeded_covectors
 
 
 @pytest.fixture(scope="module", params=[*catalog_names(), "octonionic"])
@@ -375,6 +375,39 @@ def test_inversion_keeps_its_bits(name, x, z, cut, u, v, dist):
             log_map(sc, target)
     else:
         assert np.array_equal(log_map(sc, target).as_vector(), lam.as_vector())
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (4, 3)])
+@pytest.mark.parametrize("j", [-600, 600])
+def test_maps_are_invariant_under_scaling_alpha_against_v(shape, j):
+    # (x, z) -> (x, 2^j z) maps the group of alpha = 1 onto the group of
+    # alpha = 2^j, and covectors as (u, v) -> (u, 2^-j v): exp, log and the
+    # distance there are the alpha = 1 results, bit for bit.  log raised
+    # ZeroDivisionError or OverflowError from alpha^2 before it ran in the
+    # structure's unit frame.
+    unit, far = one_block(*shape, 1.0), one_block(*shape, 2.0**j)
+
+    def image(p):
+        return GroupPoint(p.x, np.ldexp(p.z, j))
+
+    origin = GroupPoint(np.zeros(unit.rank), np.zeros(unit.corank))
+    base = GroupPoint(np.linspace(-0.4, 0.3, unit.rank), np.linspace(0.2, -0.1, unit.corank))
+    cut_target = GroupPoint(np.zeros(unit.rank), np.eye(unit.corank)[0])
+    targets = [cut_target]
+    for u, v in seeded_covectors(unit, 6, stream=22):
+        target = exp_map(unit, Covector(u, v))
+        got = exp_map(far, Covector(u, np.ldexp(v, -j)))
+        assert got.x.tolist() == target.x.tolist()
+        assert got.z.tolist() == np.ldexp(target.z, j).tolist()
+        lam, far_lam = log_map(unit, target), log_map(far, image(target))
+        assert far_lam.u.tolist() == lam.u.tolist()
+        assert far_lam.v.tolist() == np.ldexp(lam.v, -j).tolist()
+        targets.append(target)
+    for target in targets:
+        for p in (origin, base):
+            want = distance(unit, p, target).value
+            assert distance(far, image(p), image(target)).value == want
+    assert distance_bound(far, image(cut_target)) == distance_bound(unit, cut_target)
 
 
 def test_distance_bound_rejects_interior_targets_near_the_axis(contact):

@@ -40,6 +40,8 @@ from htcarnot.mcp import _jacobian_expansion, _require_box_in_domain, _sinh_rati
 from htcarnot.quadrature import mapped_rule, pairwise_sum, pairwise_sums, tensor_grid
 from htcarnot.randomness import DEFAULT_SEED, generator
 
+from conftest import one_block
+
 
 def full_grid(box, quad):
     """Every node and weight of the tensor Gauss-Legendre rule on the box."""
@@ -767,12 +769,6 @@ def test_huge_u_box_has_no_nan(heis):
     assert curved.ratios == flat.ratios and curved.bounds == (0.0,) and curved.passed
 
 
-def _one_block(rank, corank, alpha):
-    # the one-block H-type group of the given shape, all eigenvalues alpha
-    return build_structure(GroupSpec(rank=rank, corank=corank,
-                                     spectrum=((alpha, rank // 2),)))
-
-
 @pytest.mark.parametrize("shape", [(2, 1), (4, 3)])
 @pytest.mark.parametrize("j", [-600, 600])
 def test_ratios_are_invariant_under_scaling_alpha_against_v(shape, j):
@@ -781,7 +777,7 @@ def test_ratios_are_invariant_under_scaling_alpha_against_v(shape, j):
     # v-corners times 2^-j is the alpha = 1 box, bit for bit.  The squares of
     # alpha and the v-weights left the float range (ZeroDivisionError at
     # alpha^2 = 0, nan at inf/inf) before both were scaled by powers of two.
-    unit, far = _one_block(*shape, 1.0), _one_block(*shape, 2.0**j)
+    unit, far = one_block(*shape, 1.0), one_block(*shape, 2.0**j)
     k = unit.rank
     box = default_box(unit)
     scaled = CovectorBox(np.concatenate((box.lower[:k], np.ldexp(box.lower[k:], -j))),
@@ -798,7 +794,7 @@ def test_ratios_are_invariant_under_scaling_alpha_against_v(shape, j):
 def test_jacobian_contraction_at_extreme_alpha(alpha):
     # every margin read nan there (inf/inf or 0/0), and min() skipped them
     # to report inf and a pass
-    rep = check_jacobian_contraction(_one_block(4, 3, alpha), 50, (0.1, 0.5, 0.9))
+    rep = check_jacobian_contraction(one_block(4, 3, alpha), 50, (0.1, 0.5, 0.9))
     assert math.isfinite(rep.min_margin) and rep.passed
 
 
@@ -811,7 +807,7 @@ def test_jacobian_contraction_fails_on_nan_margins(heis, monkeypatch):
 
 def test_box_beyond_the_radius_is_rejected_at_tiny_v():
     # |v| = 2e-299 squares to 0 in an unscaled norm, which passed the box
-    sc = _one_block(2, 1, 1e300)
+    sc = one_block(2, 1, 1e300)
     with pytest.raises(BoxOutsideDomain, match="leaves the injectivity domain"):
         _require_box_in_domain(sc, CovectorBox([0.5, 0.5, 1e-299], [1.5, 1.5, 2e-299]))
 
@@ -829,11 +825,22 @@ def test_sharpness_box_keeps_the_catalog_width(group, shrink):
     assert np.array_equal(box.upper, center + 1e-3 * factor)
 
 
+@pytest.mark.parametrize("alpha", [1e-16, 1e-300])
+def test_sharpness_box_keeps_its_v_width_at_tiny_alpha(alpha):
+    # delta = 1e-3 R is about 6e13 at alpha = 1e-16, where a v half-width of
+    # 1e-3 fell below one ulp of delta and both v corners rounded to delta
+    sc = one_block(2, 1, alpha)
+    delta = 1e-3 * sc.first_conjugate_radius
+    box = sharpness_box(sc)
+    assert box.lower[2] == delta - delta * 2.0**-10
+    assert box.upper[2] == delta + delta * 2.0**-10
+
+
 @pytest.mark.parametrize("alpha", [6.3e3, 1e4, 1e300])
 def test_sharpness_box_stays_in_the_domain_at_large_alpha(alpha):
     # with a v half-width of 1e-3, |v| passed R = 2 pi / alpha from about
     # alpha = 6.3e3 on, and sharpness exited 3
-    sc = _one_block(4, 3, alpha)
+    sc = one_block(4, 3, alpha)
     _require_box_in_domain(sc, sharpness_box(sc))
     box, rep = sharpness_witness(sc, 0.5)
     assert rep.passed

@@ -232,3 +232,17 @@ def test_structure_from_matrices_rejects_invalid():
         # non-diagonal S is not accepted even if symmetric
         s = np.array([[1.0, 0.1], [0.1, 1.0]])
         structure_from_matrices(s, J[None])
+
+
+@pytest.mark.parametrize("spectrum", [((1.0, 1),), ((1.0, 1), (2.0, 1)), ((1e-300, 1), (1e300, 1))])
+def test_unit_frame_scales_s_and_l_by_the_exponent_of_alpha_max(spectrum):
+    # the frame is built without the spec's checks: beside 1e300, the alpha
+    # 1e-300 times 2^-997 rounds to 0, which GroupSpec rejects
+    sc = build_structure(GroupSpec(rank=4 if len(spectrum) == 2 else 2, corank=1,
+                                   spectrum=spectrum))
+    a, fr = sc.unit_exponent, sc.unit_frame
+    assert 0.5 <= fr.alpha_max < 1.0 and fr.alpha_max == np.ldexp(sc.alpha_max, -a)
+    assert np.array_equal(fr.S, np.ldexp(sc.S, -a)) and np.array_equal(fr.L, np.ldexp(sc.L, -a))
+    assert fr.block_alphas().tolist() == np.ldexp(sc.block_alphas(), -a).tolist()
+    assert fr.spec is sc.spec and sc.alpha_max == sc.spec.alpha_max
+    assert 2.0 * np.pi < fr.first_conjugate_radius <= 4.0 * np.pi

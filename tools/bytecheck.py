@@ -75,6 +75,18 @@ def _config(workdir: Path, rank: int, corank: int, alpha: str) -> str:
     return str(path)
 
 
+def _wide_config(workdir: Path) -> str:
+    # rank 4, corank 1, alphas 1e-300 and 1e300: in the unit frame of
+    # alpha_max the smaller alpha rounds to 0
+    path = workdir / "wide-spectrum.json"
+    path.write_text(json.dumps({
+        "rank": 4, "corank": 1, "kernel_dim": 0,
+        "spectrum": [{"alpha": 1e-300, "pair_multiplicity": 1},
+                     {"alpha": 1e300, "pair_multiplicity": 1}],
+    }))
+    return str(path)
+
+
 def commands(workdir: Path) -> list[list[str]]:
     """Every argv of the check; config files and --out paths lie in workdir."""
     csv = ["--out", str(workdir / "out.csv")]
@@ -108,8 +120,14 @@ def commands(workdir: Path) -> list[list[str]]:
     for rank, corank in SHAPES:
         config = _config(workdir, rank, corank, "1e4")
         argvs += [["sharpness", config, *csv], ["mcp", config, "--box", "sharpness", *csv]]
-    argvs += [["log", _config(workdir, 2, 1, alpha), "--x=0,0", "--z=1"]
-              for alpha in ("1e-200", "1e160")]
+    argvs += [["log", _config(workdir, 2, 1, alpha), f"--x={x}", "--z=1"]
+              for x in ("0,0", "1,0") for alpha in ("1e-200", "1e160")]
+    argvs += [["sharpness", _config(workdir, 2, 1, alpha), *csv] for alpha in ("1e-16", "1e-300")]
+    wide = _wide_config(workdir)
+    argvs += [["validate", wide],
+              ["exp", wide, "--u=1,0.3,-0.5,0.8", "--v=1e-301", "--steps", "4", *csv],
+              ["mcp", wide, "--quad", "5", *csv],
+              *[["log", wide, f"--x={x}", "--z=1"] for x in ("1,0,0.5,0", "0,0,0,0")]]
     return argvs
 
 
