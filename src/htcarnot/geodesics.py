@@ -14,9 +14,8 @@ their exact limits and both sides of the switch are accurate to a few units
 in the last place.  Each caller derives its factors from the triple: exp
 and f(L_v)^-1 take sinc(theta) = sinc(theta/2) cos(theta/2) and the odd
 part -sinc(theta/2)^2 / 2 of f; exp's vertical part, the vertical reach and
-the cut-locus coefficient take h3; the Jacobian takes all three.  The one
-exception is log_map's F and F' (:func:`unit_reach`, :func:`unit_reach_slope`),
-see there.
+the cut-locus coefficient take h3; log_map's F and F' take sinc(theta/2),
+h3 and tau; the Jacobian takes all three.
 
 One routine, :func:`_invert`, inverts exp for log_map, distance and
 distance_bound.  It carries every target, by one exact map, into the
@@ -62,15 +61,6 @@ _H3_SERIES = (1.0 / 6, -1.0 / 120, 1.0 / 5040, -1.0 / 362880, 1.0 / 39916800,
               -1.0 / 6227020800, 1.0 / 1307674368000, -1.0 / 355687428096000)
 _COT_SERIES = (1.0 / 3, 1.0 / 45, 2.0 / 945, 1.0 / 4725, 2.0 / 93555,
                1382.0 / 638512875, 4.0 / 18243225, 3617.0 / 162820783125)
-# Taylor coefficients of unit_reach(theta)/theta and of unit_reach_slope, both
-# in theta^2; their pole at 2 pi makes each term about (0.5/(2 pi))^2 times
-# the one before it at |theta| < 0.5
-_REACH_SERIES = (1.0 / 12, 1.0 / 360, 1.0 / 10080, 1.0 / 302400, 1.0 / 9580032,
-                 691.0 / 217945728000, 1.0 / 10674892800, 3617.0 / 1333827855360000,
-                 43867.0 / 567677135241216000)
-_REACH_SLOPE_SERIES = (1.0 / 12, 1.0 / 120, 1.0 / 2016, 1.0 / 43200, 1.0 / 1064448,
-                       691.0 / 19813248000, 1.0 / 821145600, 3617.0 / 88921857024000,
-                       43867.0 / 33392772661248000)
 
 
 def _switch(theta, direct: Callable, series: Callable):
@@ -131,45 +121,15 @@ def _f_parts(theta):
     return sinc_half * np.cos(0.5 * theta), sinc_half, h3
 
 
-# F and F' of log_map stay separate closed forms of their own: its 64-point
-# scan makes one call per radius, where numpy call overhead bounds the cost,
-# and phi derived from the kernel's triple nearly doubled the cost of a scan
-# step (15.0 against 27.9 us on htype4x3, 2-vCPU VM).  They fold into the kernel once
-# the scan is gone (ROADMAP item 2).
-def _unit_reach_direct(t):
-    x = 0.5 * t
-    sin = np.sin(x)
-    return (x - sin * np.cos(x)) / (4.0 * sin * sin)
-
-
-def _unit_reach_series(t):
-    return t * _poly(t, *_REACH_SERIES)
-
-
-def unit_reach(theta):
-    """phi(theta) = (theta - sin theta) / (4 (1 - cos theta)); limit 0 at 0.
-
-    The vertical reach at radius theta of one horizontal coordinate with
-    rate s_c = 1 and x_c = 1: log_map's F(r) is sum_c s_c x_c^2 phi(s_c r).
-    Evaluated at x = theta/2 as (x - sin x cos x) / (4 sin^2 x), which does
-    not cancel near the pole at 2 pi.
-    """
-    return _switch(theta, _unit_reach_direct, _unit_reach_series)
-
-
-def _unit_reach_slope_direct(t):
-    x = 0.5 * t
-    sin = np.sin(x)
-    return (sin - x * np.cos(x)) / (4.0 * sin * sin * sin)
-
-
-def _unit_reach_slope_series(t):
-    return _poly(t, *_REACH_SLOPE_SERIES)
-
-
-def unit_reach_slope(theta):
-    """phi'(theta) = (sin x - x cos x) / (4 sin^3 x) at x = theta/2; limit 1/12 at 0."""
-    return _switch(theta, _unit_reach_slope_direct, _unit_reach_slope_series)
+def _phi(theta):
+    # phi(theta) = (theta - sin theta) / (4 (1 - cos theta)) and phi'(theta),
+    # the vertical reach at angle theta of one horizontal coordinate with
+    # s_c = 1 and x_c = 1 and its slope, from the kernel:
+    #     phi = theta h3 / (2 sinc(theta/2)^2),   phi' = tau / sinc(theta/2)^2,
+    # limits 0 and 1/12 at 0 and a pole at 2 pi, where sinc(theta/2) = 0
+    sinc_half, h3, tau = _half_angle(theta)
+    sq = sinc_half * sinc_half
+    return 0.5 * theta * h3 / sq, tau / sq
 
 
 def _poly(t, *coeffs):
@@ -355,7 +315,8 @@ def cut_time(sc: StructureConstants, lam: Covector) -> float:
     """First time the geodesic t -> exp(t lam) stops minimizing.
 
     2 pi / (alpha_max |v|) when v != 0 and S u != 0; +inf otherwise
-    (straight lines and abnormal directions minimize forever).
+    (straight lines and abnormal directions minimize forever), and +inf
+    where 2 pi / (alpha_max |v|) is beyond the float range.
     """
     _check_covector(sc, lam)
     if not np.any(lam.u) and not np.any(lam.v):
@@ -364,7 +325,12 @@ def cut_time(sc: StructureConstants, lam: Covector) -> float:
     vn = math.hypot(*lam.v)
     if vn == 0.0 or not np.any(su):
         return float("inf")
-    return 2.0 * np.pi / (sc.alpha_max * vn)
+    # the mantissas of alpha_max and |v| lie in [1/2, 1), so only the exact
+    # scaling by 2^-(a+e) can leave the float range
+    alpha, a = math.frexp(sc.alpha_max)
+    m, e = math.frexp(vn)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(2.0 * np.pi / (alpha * m), -a - e))
 
 
 def in_injectivity_domain(sc: StructureConstants, lam: Covector) -> bool:
@@ -400,14 +366,14 @@ def _reach(s, a, b, r, slope=False):
     # The vertical reach F(r) of the target's horizontal part x, in closed
     # form: u = f(L_v)^{-1} x has |u_c|^2 = x_c^2 / sinc(theta_c/2)^2 on each
     # block (E^2 + theta^2 O^2 = sinc(theta/2)^2), so the term
-    # (r/2) s_c^2 h3(theta_c) u_c^2 of exp's |z| is s_c x_c^2 phi(theta_c),
-    # phi = unit_reach.  With the weights a = s x^2 and b = s^2 x^2 over the
+    # (r/2) s_c^2 h3(theta_c) u_c^2 of exp's |z| is s_c x_c^2 phi(theta_c)
+    # (see _phi).  With the weights a = s x^2 and b = s^2 x^2 over the
     # coordinates with s_c > 0
     #     F(r) = sum_c a_c phi(theta_c),   F'(r) = sum_c b_c phi'(theta_c).
     # With slope=True returns (F, F'), else F.
-    theta = r * s
-    reach = float(a @ unit_reach(theta))
-    return (reach, float(b @ unit_reach_slope(theta))) if slope else reach
+    phi, slope_terms = _phi(r * s)
+    reach = float(a @ phi)
+    return (reach, float(b @ slope_terms)) if slope else reach
 
 
 def _momentum_at(sc, x, zn, vhat, r):
@@ -462,10 +428,10 @@ def _momentum_at(sc, x, zn, vhat, r):
     return u
 
 
-_SCAN_POINTS = 64
 _NEWTON_ITERATIONS = 100
 _LOG_RESIDUAL = 1e-12
 _LOG_ENDPOINT = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
@@ -480,19 +446,24 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
         F(r)  = sum_c s_c x_c^2 phi(theta_c)
         F'(r) = sum_c s_c^2 x_c^2 phi'(theta_c)
 
-    with phi = unit_reach and phi' = unit_reach_slope; kernel coordinates
-    contribute nothing.  A scan of F at 64 radii up to R (1 - 1e-12)
-    brackets the root and decides the cut locus: no sign change means no
-    covector in the domain reaches the target.  Newton with the exact F'
-    then solves in the bracket, shrinking it by the sign of F - |z|, taking
-    the secant from F(0) = 0 when a step cancels to 0 or below, and the
-    bracket's midpoint whenever a step would leave it, until
-    |F - |z|| <= 1e-12 |z|, after which it takes one last step, or until
-    the iterate stops moving.  The covector is (u, r z/|z|) at the
-    root, with u = f(L_v)^{-1} x below the top eigenblock and the top block
-    scaled toward reach |z|, fully so near R.  F is strictly increasing on
-    (0, R), which is injectivity of exp on D, so the scan finds at most one
-    bracket.
+    with phi(theta) = theta h3(theta) / (2 sinc(theta/2)^2) and
+    phi'(theta) = tau(theta) / sinc(theta/2)^2 from the kernel; kernel
+    coordinates contribute nothing.  F is strictly increasing on (0, R),
+    which is injectivity of exp on D, so one evaluation decides the cut
+    locus: where F at the last float below R is less than |z|, no covector
+    in the domain reaches the target.  That holds whether x is non-zero on
+    the top eigenblock, where F has a pole at R, or zero there, where F(R)
+    is the finite reach of the lower blocks.  Otherwise Newton with the
+    exact F' solves in the bracket (0, R), seeded, where x_top != 0 and |z|
+    exceeds the lower blocks' reach F_lower(R), from the pole's leading
+    term, R - r = sqrt(pi |x_top|^2 / (alpha_max (|z| - F_lower(R)))), and
+    from the midpoint otherwise.  It shrinks the bracket by the sign of
+    F - |z|, takes the secant from F(0) = 0 when a step cancels to 0 or
+    below, and the bracket's midpoint whenever a step would leave it, until
+    |F - |z|| <= 1e-12 |z|, after which it takes one last step, or until the
+    iterate stops moving.  The covector is (u, r z/|z|) at the root, with
+    u = f(L_v)^{-1} x below the top eigenblock and the top block scaled
+    toward reach |z|, fully so near R.
 
     Every target is solved, and checked, on one exact image: in the
     structure's unit frame (``sc.unit_frame``, alpha_max times 2^-a in
@@ -502,9 +473,10 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
 
     Raises CutLocusTarget when no root exists (the target is not in the
     diffeomorphic image; :func:`distance_bound` gives its distance),
-    NoCandidateFound when the scan finds several brackets or the covector
-    misses the unit-scale target by more than the endpoint tolerance
-    1e-10 max(1, |target|), and IdentityTarget for the identity.
+    NoCandidateFound when the covector misses the unit-scale target by more
+    than the endpoint tolerance 1e-10 max(1, |target|), IdentityTarget for
+    the identity, and ValueError where |u| or v leaves the float range on
+    the way back to the user's frame.
     """
     lam, cut = _invert(sc, target)
     if cut:
@@ -527,43 +499,29 @@ def _target_exponent(target: GroupPoint, a: int) -> int:
 
 
 def _reach_root(sc, x, zn):
-    # The root r of F(r) = |z| on (0, R (1 - 1e-12)] (see log_map), or None
-    # when the scan finds no sign change there: no covector in the domain
-    # reaches the target.
-    rmax = sc.first_conjugate_radius * (1.0 - 1e-12)
+    # The root r of F(r) = |z| below R (see log_map), or None where no float
+    # radius below R reaches |z|: F is strictly increasing on (0, R), so
+    # that is one comparison of F at the last float below R.
+    rmax = math.nextafter(sc.first_conjugate_radius, 0.0)
     pos = sc.s_positive
     s = sc.s_diag[pos]
     a = s * x[pos] ** 2
     b = s * a
-
-    # The scan stays 64 separate evaluations.  The benchmark keeps three
-    # floats, about 100 bytes, for every cut-locus pass, so its peak RSS
-    # grows with the pass rate: a 20 s run at 1.2 ms per pass holds about
-    # 1.6 MB of them, at 0.35 ms (the scan stopped early) about 5.5 MB,
-    # past the 10% bound on a peak of about 38.5 MiB.  The root solve below
-    # could replace the scan once that memory is bounded.
-    rs = np.linspace(0.0, rmax, _SCAN_POINTS + 1)[1:]
-    gaps = np.array([_reach(s, a, b, r) for r in rs]) - zn
-    zeros = np.flatnonzero(gaps == 0.0)
-    if zeros.size:
-        return float(rs[zeros[0]])
-    # sign changes on the grid 0, rs, with the virtual F(0+) - |z| < 0;
-    # sign bits, because the product of two gaps below about 1e-154
-    # underflows to 0
-    grid = np.concatenate(([0.0], rs))
-    negative = np.signbit(np.concatenate(([-zn], gaps)))
-    changes = np.flatnonzero(negative[:-1] != negative[1:])
-    if changes.size > 1:
-        brackets = list(zip(grid[changes].tolist(), grid[changes + 1].tolist()))
-        raise NoCandidateFound(
-            f"multiple root brackets {brackets} for the vertical-reach "
-            "equation; exp should be injective here, so this indicates a "
-            "Jacobian or synthesis bug"
-        )
-    if not changes.size:
+    phi, _ = _phi(rmax * s)
+    if float(a @ phi) < zn:
         return None
-    lo, hi = float(grid[changes[0]]), float(grid[changes[0] + 1])
-    root = 0.5 * (lo + hi)
+    lo, hi = 0.0, rmax
+    root = 0.5 * rmax
+    # Near its pole at R, F is F_lower(R) + pi |x_top|^2 / (alpha_max
+    # (R - r)^2) to leading order, with pole = alpha_max |x_top|^2 the top
+    # block's weight and F_lower(R) the reach of the blocks below it
+    top = s == sc.alpha_max
+    pole = float(a[top].sum())
+    excess = zn - float(a[~top] @ phi[~top])
+    if pole > 0.0 and excess > 0.0:
+        seed = rmax - math.sqrt(math.pi * pole / excess) / sc.alpha_max
+        if lo < seed < hi:
+            root = seed
     tol = _LOG_RESIDUAL * zn
     for _ in range(_NEWTON_ITERATIONS):
         reach, slope = _reach(s, a, b, root, slope=True)
@@ -592,7 +550,7 @@ def _reach_root(sc, x, zn):
     return root
 
 
-def _invert(sc, target: GroupPoint) -> tuple[Covector, bool]:
+def _invert(sc, target: GroupPoint, exact_v: bool = True) -> tuple[Covector, bool]:
     # (minimizing covector, on the cut locus), solved on the target's image
     # in the unit frame at unit scale (see log_map).  log is
     # dilation-equivariant, log(delta_eps p) = (eps u, v) with
@@ -601,7 +559,8 @@ def _invert(sc, target: GroupPoint) -> tuple[Covector, bool]:
     # and the endpoint check, relative to the unit-scale target, is the same
     # at every scale.  With z = 0 the covector is the straight line (x, 0);
     # on the cut locus x is zeroed on the top eigenblock, which f(L_v)
-    # annihilates at |v| = R.
+    # annihilates at |v| = R.  exact_v=False serves the distances, which
+    # take only |u|; it stays right where 2^-a v rounds.
     _check_point(sc, target)
     fr, a = sc.unit_frame, sc.unit_exponent
     e = _target_exponent(target, a)
@@ -633,6 +592,11 @@ def _invert(sc, target: GroupPoint) -> tuple[Covector, bool]:
     # the distance |u| must be a float too
     if not math.isfinite(math.hypot(*u.tolist())):
         raise ValueError("the covector's length |u| is beyond the float range")
+    # 2^-a v must keep v to within one rounding of |v|: below the normal
+    # range it loses its digits, down to 0
+    if exact_v and not (math.hypot(*(np.ldexp(v, a) - lam.v).tolist())
+                        <= _EPS * math.hypot(*lam.v.tolist())):
+        raise ValueError("the covector's vertical part v is beyond the float range")
     return Covector(u, v), cut
 
 
@@ -654,7 +618,7 @@ def distance(sc: StructureConstants, p: GroupPoint, q: GroupPoint) -> DistanceRe
     form of :func:`distance_bound` on the cut locus, both exact.
     """
     try:
-        lam, _ = _invert(sc, multiply(sc, inverse(p), q))
+        lam, _ = _invert(sc, multiply(sc, inverse(p), q), exact_v=False)
     except IdentityTarget:
         return DistanceResult(0.0)
     return DistanceResult(math.hypot(*lam.u))
@@ -679,10 +643,10 @@ def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
     IdentityTarget for the identity.  Every target is solved in the unit
     frame at unit scale, as in :func:`log_map`.
     """
-    lam, cut = _invert(sc, target)
+    lam, cut = _invert(sc, target, exact_v=False)
     if cut:
         return math.hypot(*lam.u)
-    if np.any(lam.v):
+    if np.any(target.z):
         raise NoCandidateFound("the target lies off the cut locus; log_map reaches it")
     raise ValueError("targets with z = 0 are reached by straight lines, not the "
                      "cut-locus formula")

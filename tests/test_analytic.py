@@ -15,15 +15,12 @@ from htcarnot.geodesics import (
     _apply_f_inverse,
     _f_parts,
     _half_angle,
+    _half_angle_direct,
+    _half_angle_series,
     _jacobian_factors,
+    _phi,
     _poly,
     _switch,
-    _unit_reach_direct,
-    _unit_reach_series,
-    _unit_reach_slope_direct,
-    _unit_reach_slope_series,
-    unit_reach,
-    unit_reach_slope,
 )
 
 from conftest import matrix_series, oracle_exp_neg, seeded_covectors
@@ -124,6 +121,19 @@ sinc = _scalar(lambda th: _f_parts(th)[0])
 cos_minus_one_over_sq = _scalar(lambda th: -0.5 * _f_parts(th)[1] ** 2)
 one_minus_sinc = _scalar(lambda th: th * (th * _f_parts(th)[2]))
 h3 = _scalar(lambda th: _half_angle(th)[1])
+# log's phi and phi', as its vertical reach F and slope F' take them
+phi = _scalar(lambda th: _phi(th)[0])
+phi_slope = _scalar(lambda th: _phi(th)[1])
+
+
+def _phi_from(branch, index):
+    # phi (index 0) or phi' (index 1) from one branch of the kernel
+    def derived(t):
+        sinc_half, h3, tau = branch(t)
+        sq = sinc_half * sinc_half
+        return (0.5 * t * h3, tau)[index] / sq
+
+    return derived
 
 
 def _factor(index):
@@ -159,8 +169,8 @@ def test_scalar_helpers_limits_at_zero():
     assert cos_minus_one_over_sq(0.0) == -0.5
     assert h3(0.0) == pytest.approx(1.0 / 6.0, abs=1e-18)
     assert factor_tau(0.0) == pytest.approx(1.0 / 12.0, abs=1e-18)
-    assert unit_reach(0.0) == 0.0
-    assert unit_reach_slope(0.0) == 1.0 / 12.0
+    assert phi(0.0) == 0.0
+    assert phi_slope(0.0) == 1.0 / 12.0
 
 
 def _taylor(theta, coeffs):
@@ -189,7 +199,7 @@ def test_series_branch_accuracy_across_switch(fn, coeffs):
 
 
 @pytest.mark.parametrize("fn", [sinc, one_minus_sinc, cos_minus_one_over_sq, h3, factor_tau,
-                                unit_reach, unit_reach_slope, _factor(0), _factor(1)],
+                                phi, phi_slope, _factor(0), _factor(1)],
                          ids=["sinc", "one-minus-sinc", "cosm1", "h3", "tau", "phi",
                               "phi-slope", "factor-sinc-half", "factor-h3"])
 def test_branch_switch_is_smooth_without_cancellation(fn):
@@ -234,8 +244,8 @@ def _reference(theta):
 
 
 _HELPERS = {"sinc": sinc, "cosm1": cos_minus_one_over_sq, "one-minus-sinc": one_minus_sinc,
-            "h3": h3, "phi": unit_reach,
-            "phi-slope": unit_reach_slope, "factor-sinc-half": _factor(0),
+            "h3": h3, "phi": phi,
+            "phi-slope": phi_slope, "factor-sinc-half": _factor(0),
             "factor-h3": _factor(1), "factor-tau": factor_tau}
 # exp is total, so its factors are also checked beyond 2 pi, where phi, phi'
 # and tau have their first pole
@@ -267,8 +277,8 @@ def test_scalar_helpers_against_exact_reference():
 
 @pytest.mark.parametrize("direct, series", [
     (lambda t: np.sin(t) / t, lambda t: _poly(t, *_SINC_SERIES)),
-    (_unit_reach_direct, _unit_reach_series),
-    (_unit_reach_slope_direct, _unit_reach_slope_series),
+    (_phi_from(_half_angle_direct, 0), _phi_from(_half_angle_series, 0)),
+    (_phi_from(_half_angle_direct, 1), _phi_from(_half_angle_series, 1)),
 ], ids=["sinc", "phi", "phi-slope"])
 @pytest.mark.parametrize("theta", [
     np.float64(0.3), np.float64(1.3), np.array(0.0),

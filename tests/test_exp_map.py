@@ -1,5 +1,7 @@
 """Endpoint formulas against direct integration of the normal Hamiltonian flow."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from htcarnot import (
 from htcarnot.catalog import catalog_structure
 from htcarnot.geodesics import _half_angle
 
-from conftest import oracle_exp_neg, seeded_covectors
+from conftest import one_block, oracle_exp_neg, seeded_covectors
 
 
 def flow_endpoint(sc, u, v, t_final=1.0):
@@ -112,6 +114,24 @@ def test_cut_time_values(heis):
 def test_cut_time_uses_largest_eigenvalue(contact):
     lam = Covector([1.0, 0.0, 0.0, 0.0], [1.0])
     assert cut_time(contact, lam) == np.pi  # alpha_max = 2
+
+
+@pytest.mark.parametrize("alpha, vn", [(1e-300, 1e-30), (1e300, 1e-320), (1e300, 1e10)])
+def test_cut_time_at_extreme_alpha(alpha, vn):
+    # alpha |v| underflowed to 0 (ZeroDivisionError) or to a subnormal; the
+    # cut time is 2 pi / (alpha |v|) correctly rounded, inf beyond the range
+    sc = one_block(2, 1, alpha)
+    with mpmath.workdps(40):
+        want = float(2 * mpmath.pi / (mpmath.mpf(alpha) * mpmath.mpf(vn)))
+    assert cut_time(sc, Covector([1.0, 0.3], [vn])) == want
+
+
+def test_cut_time_keeps_its_bits_in_range(group):
+    # the mantissa form rounds as 2 pi / (alpha_max |v|) wherever that
+    # product and quotient are normal floats
+    for u, v in seeded_covectors(group, 20, stream=9):
+        lam = Covector(u, v)
+        assert cut_time(group, lam) == 2.0 * np.pi / (group.alpha_max * math.hypot(*lam.v))
 
 
 def test_injectivity_domain_membership(heis, degenerate):

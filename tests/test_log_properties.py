@@ -5,11 +5,11 @@ Examples are derandomized, so every run draws the same cases.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from htcarnot import Covector, catalog_names, catalog_structure, exp_map, log_map
-from htcarnot.geodesics import _LOG_ENDPOINT, _reach
+from htcarnot.geodesics import _LOG_ENDPOINT, _phi, _reach, _reach_root
 from htcarnot.structure import GroupSpec, build_structure
 
 from conftest import reach_data
@@ -62,12 +62,33 @@ FRACTIONS = np.union1d(np.linspace(0.0, 1.0, 401)[1:-1],
 @given(data=st.data())
 def test_reach_is_strictly_increasing(data):
     # F is strictly increasing on (0, R): that is injectivity of exp on the
-    # domain, and it is why the scan can find at most one root bracket
+    # domain, and it is why one evaluation of F below R decides the cut locus
     sc = data.draw(structures)
     x = data.draw(horizontal_parts(sc))
     data = reach_data(sc, x)
     reach = np.array([_reach(*data, r) for r in FRACTIONS * sc.first_conjugate_radius])
     assert np.all(np.diff(reach) > 0.0)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_cut_decision_agrees_with_a_dense_evaluation(data):
+    # the root solve finds a root iff F reaches |z| somewhere on 4096 radii
+    # up to the last float below R, whose F it evaluates itself; with x_top
+    # zeroed, F(R) is the finite reach of the lower blocks
+    sc = data.draw(st.sampled_from(GROUPS)).unit_frame
+    x = data.draw(horizontal_parts(sc))
+    if data.draw(st.booleans()):
+        x[sc.blocks[-1].indices] = 0.0
+    s, a, b = reach_data(sc, x)
+    rmax = np.nextafter(sc.first_conjugate_radius, 0.0)
+    rs = np.linspace(0.0, rmax, 4097)[1:-1]
+    dense = np.append(_phi(np.multiply.outer(rs, s))[0] @ a, _reach(s, a, b, rmax))
+    # |z| anywhere on the grid, and often at its last few radii, next to R
+    k = data.draw(st.one_of(st.integers(0, dense.size - 1), st.integers(-4, -1)))
+    zn = dense[k] * data.draw(st.floats(0.5, 2.0))
+    assume(zn > 0.0)
+    assert (_reach_root(sc, x, zn) is None) == (dense.max() < zn)
 
 
 @PROPERTY

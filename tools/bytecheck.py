@@ -123,6 +123,9 @@ def commands(workdir: Path) -> list[list[str]]:
     argvs += [["log", _config(workdir, 2, 1, alpha), f"--x={x}", "--z=1"]
               for x in ("0,0", "1,0") for alpha in ("1e-200", "1e160")]
     argvs += [["sharpness", _config(workdir, 2, 1, alpha), *csv] for alpha in ("1e-16", "1e-300")]
+    # a cut time 2 pi / (alpha |v|) beyond the float range
+    argvs.append(["exp", _config(workdir, 2, 1, "1e-300"), "--u=1,0.3", "--v=1e-30",
+                  "--steps", "1", *csv])
     wide = _wide_config(workdir)
     argvs += [["validate", wide],
               ["exp", wide, "--u=1,0.3,-0.5,0.8", "--v=1e-301", "--steps", "4", *csv],
