@@ -195,6 +195,8 @@ def cmd_validate(args) -> int:
         if not report.passed:
             _say(args, "structure validation failed")
             return EXIT_VALIDATION
+        # the acceptance of every other command, with its exact checks
+        cfg.realize()
         _say(args, "structure valid")
         return EXIT_OK
     spec = cfg.spec if cfg is not None else sc.spec

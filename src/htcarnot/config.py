@@ -9,7 +9,8 @@ JSON with exactly one of two forms:
              "L_matrices": [p row-major k x k arrays]}
 
 plus optional top-level "seed" (an integer in [0, 2**64)) and "tolerance"
-(real in (0, 1), default 1e-12, used to validate the explicit form).  Schema
+(real in (0, 1), default 1e-12, used to validate the explicit form, relative
+to the largest entry of S).  Schema
 problems and the values GroupSpec rejects raise ConfigError; a well-formed
 config that fails the mathematical checks raises
 StructureInvalid/SpecNotRealizable from realize().

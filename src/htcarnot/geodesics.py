@@ -297,6 +297,11 @@ def jacobian(sc: StructureConstants, lam: Covector) -> float:
     """Jacobian determinant of exp at lam, for |v| within the injectivity radius.
 
     Strictly positive iff S u != 0; equals (|S u|^2 / 12)^p at v = 0.
+    Evaluated in the unit frame at unit scale, J(u, v) = 4^((a+e) p)
+    J_frame(2^-e u, 2^a v), with a = sc.unit_exponent and 2^-e max |u_c|
+    off ker S in [1/2, 1), so that neither alpha^2 nor u^2 leaves the float
+    range; the power of two is applied last, and gives inf or 0 only where
+    J itself is beyond the float range.
     """
     _check_covector(sc, lam)
     vn = math.hypot(*lam.v)
@@ -306,9 +311,16 @@ def jacobian(sc: StructureConstants, lam: Covector) -> float:
             f"{sc.first_conjugate_radius:.6g}"
         )
     # kernel coordinates contribute the factor 1 and the weights 0
-    pos = sc.s_positive
-    return float(_jacobian_core(sc.s_diag[pos], 0.5, sc.corank, lam.u[pos] ** 2,
-                                np.float64(vn)))
+    fr, a = sc.unit_frame, sc.unit_exponent
+    pos = fr.s_positive
+    up = lam.u[pos]
+    e = _dilation_exponent(max(map(abs, up.tolist()), default=0.0))
+    core = _jacobian_core(fr.s_diag[pos], 0.5, sc.corank, np.ldexp(up, -e) ** 2,
+                          np.float64(math.ldexp(vn, a)))
+    try:
+        return math.ldexp(float(core), 2 * sc.corank * (a + e))
+    except OverflowError:
+        return math.inf
 
 
 def cut_time(sc: StructureConstants, lam: Covector) -> float:
@@ -321,9 +333,8 @@ def cut_time(sc: StructureConstants, lam: Covector) -> float:
     _check_covector(sc, lam)
     if not np.any(lam.u) and not np.any(lam.v):
         raise ZeroCovector("the zero covector has no geodesic")
-    su = sc.s_diag * lam.u
     vn = math.hypot(*lam.v)
-    if vn == 0.0 or not np.any(su):
+    if vn == 0.0 or not sc.su_nonzero(lam.u):
         return float("inf")
     # the mantissas of alpha_max and |v| lie in [1/2, 1), so only the exact
     # scaling by 2^-(a+e) can leave the float range
@@ -336,9 +347,7 @@ def cut_time(sc: StructureConstants, lam: Covector) -> float:
 def in_injectivity_domain(sc: StructureConstants, lam: Covector) -> bool:
     """Membership in D = { |v| < 2 pi / alpha_max and S u != 0 }, with exact tests."""
     _check_covector(sc, lam)
-    su = sc.s_diag * lam.u
-    vn = math.hypot(*lam.v)
-    return bool(np.any(su)) and vn < sc.first_conjugate_radius
+    return sc.su_nonzero(lam.u) and math.hypot(*lam.v) < sc.first_conjugate_radius
 
 
 def is_abnormal(sc: StructureConstants, lam: Covector) -> bool:
@@ -346,7 +355,7 @@ def is_abnormal(sc: StructureConstants, lam: Covector) -> bool:
     _check_covector(sc, lam)
     if not np.any(lam.u) and not np.any(lam.v):
         raise ZeroCovector("the zero covector has no geodesic")
-    return not np.any(sc.s_diag * lam.u)
+    return not sc.su_nonzero(lam.u)
 
 
 def _apply_f_inverse(sc, x, lx, sinc, sinc_half):

@@ -60,7 +60,9 @@ def multiply(sc: StructureConstants, p_left: GroupPoint, p_right: GroupPoint) ->
     _check_point(sc, p_left)
     _check_point(sc, p_right)
     x, xp = p_left.x, p_right.x
-    corr = 0.5 * np.vecdot(sc.L @ xp, x)
+    # x^T L^a x' from its antisymmetric part, (x^T L x' - x'^T L x) / 2: at
+    # x' = -x both terms round alike, so p^-1 p is the identity exactly
+    corr = 0.25 * (np.vecdot(sc.L @ xp, x) - np.vecdot(sc.L @ x, xp))
     return GroupPoint(x + xp, p_left.z + p_right.z + corr)
 
 

@@ -179,13 +179,14 @@ def check_jacobian_contraction(sc: StructureConstants, samples: int, t_grid,
     # default box lies inside the injectivity domain, so no row leaves it
     scales = np.array([1.0, *ts])[:, None]
     t_pow = np.array([t ** (2 * p) for t in ts])
-    # kernel coordinates contribute the factor 1 and the weights 0, and their
-    # zero angles would force both branches of the scalar helpers
-    pos = sc.s_positive
     # J in the unit frame, with v at unit scale as in _box_jacobian_integral:
     # the alphas times 2^-a and |v| times 2^a keep every angle alpha |v| bit
-    # for bit, and J scales by 4^(-a p) in both terms of each margin
-    alphas = sc.unit_frame.s_diag[pos]
+    # for bit, and J scales by 4^(-a p) in both terms of each margin.  Its
+    # kernel coordinates contribute the factor 1 and the weights 0, and
+    # their zero angles would force both branches of the scalar helpers
+    fr = sc.unit_frame
+    pos = fr.s_positive
+    alphas = fr.s_diag[pos]
     e_v = _unit_corners(box.lower[k:], box.upper[k:])[2]
     minima = [math.inf]
     for rows in _row_batches(samples, scales.size * k):
@@ -237,8 +238,9 @@ class CovectorBox:
 
 def _require_box_in_domain(sc, box: CovectorBox):
     # Corner test in closed form: every corner has |v| < R iff the corner of
-    # componentwise-largest |v_i| does, and some corner has S u = 0 iff every
-    # coordinate c has an endpoint x with s_c x == 0.
+    # componentwise-largest |v_i| does, and some corner has S u = 0 iff the
+    # corner that takes an endpoint 0 wherever there is one does (ker S at
+    # the lower corner).
     if box.dim != sc.dim:
         raise BoxOutsideDomain(
             f"box dimension {box.dim} does not match the group dimension {sc.dim}"
@@ -251,10 +253,10 @@ def _require_box_in_domain(sc, box: CovectorBox):
             f"box corner {corner.tolist()} leaves the injectivity domain: "
             f"|v| is not below {sc.first_conjugate_radius!r}"
         )
-    lo_null = sc.s_diag * u_lo == 0.0
-    hi_null = sc.s_diag * u_hi == 0.0
-    if np.all(lo_null | hi_null):
-        corner = np.concatenate((np.where(lo_null, u_lo, u_hi), v_lo))
+    u_null = np.where(u_lo == 0.0, u_lo, u_hi)
+    u_null[sc.kernel_indices] = u_lo[sc.kernel_indices]
+    if not sc.su_nonzero(u_null):
+        corner = np.concatenate((u_null, v_lo))
         raise BoxOutsideDomain(
             f"box corner {corner.tolist()} leaves the injectivity domain: S u = 0"
         )
@@ -321,7 +323,8 @@ def _u_moment_table(sc, u_lo, u_hi, quad: int, degree: int = 0, interval=None):
     """Tensor Gauss-Legendre u-moments M[delta, j] = sum_u w q^delta y^j.
 
     delta runs over _deltas (the exponents of _jacobian_expansion), q holds
-    the squared block norms of u and, for interval = (m, h), y = sum_c
+    the squared norms of u on the blocks of the unit frame, whose partition
+    _jacobian_expansion takes too, and, for interval = (m, h), y = sum_c
     (u_c^2 - m_c) / h; degree = 0 needs no interval.  Built per coordinate
     from the power sums sum_x w x^(2e) s^i, s = (x^2 - m_c) / h: a block's
     table of q_b^d y_b^j is the binomial product of its coordinates' tables,
@@ -352,10 +355,11 @@ def _u_moment_table(sc, u_lo, u_hi, quad: int, degree: int = 0, interval=None):
             acc = _binomial_product(sums[c, :rows], acc)
         return acc
 
-    kernel = table(sc.kernel_indices, 1)
-    blocks = [table(b.indices, p + 1) for b in sc.blocks]
+    fr = sc.unit_frame
+    kernel = table(fr.kernel_indices, 1)
+    blocks = [table(b.indices, p + 1) for b in fr.blocks]
     moments = []
-    for delta in _deltas(p, len(sc.blocks)):
+    for delta in _deltas(p, len(blocks)):
         row = kernel
         for block, d in zip(blocks, delta):
             row = _binomial_product(row, block[d:d + 1])
@@ -409,7 +413,8 @@ def _box_jacobian_integral(sc, box: CovectorBox, scales, quad: int, moments,
     The integrand is polynomial in u (degree 2p), so the u-integral reduces
     to the exact moments sum_u w q^delta, one per delta of _deltas; only the
     v-grid (quad^p nodes) is enumerated, once for all scales, on the
-    v-corners times 2^-e (_unit_corners) with J at the true |v|.  Identical
+    v-corners times 2^-e (_unit_corners) with J at the unit frame's |v|,
+    the true |v| times 2^a, and on its blocks, as the moments.  Identical
     quadrature sum to the full tensor rule, reorganized, up to a power of
     two common to every scale.  Returns the integrals and, with v_side, the
     v-side V_delta = sum_v w pref c_delta of the K < 0 distortion average
@@ -419,7 +424,8 @@ def _box_jacobian_integral(sc, box: CovectorBox, scales, quad: int, moments,
     p = sc.corank
     v_lo, v_hi, e = _unit_corners(box.lower[sc.rank:], box.upper[sc.rank:])
     pts, wts = tensor_grid(v_lo, v_hi, quad)
-    rays = np.multiply.outer(_true_norm(np.linalg.norm(pts, axis=1), e), sc.block_alphas())
+    rays = np.multiply.outer(_true_norm(np.linalg.norm(pts, axis=1), e + sc.unit_exponent),
+                             sc.unit_frame.block_alphas())
     scale_col = np.array(scales, dtype=np.float64)
     totals = []
     v_sums = None
@@ -671,9 +677,10 @@ def _grid_distortion_bounds(sc, u_lo, u_hi, e, K, N, ts, quad, v_side):
     # and bound_t = sum V U(t) / sum V U(1), where D_1 = 1; the corners come
     # times 2^-e from _unit_corners.
     u_pts, u_wts = tensor_grid(u_lo, u_hi, quad)
-    q = np.stack([np.sum(u_pts[:, b.indices] ** 2, axis=1) for b in sc.blocks], axis=-1)
+    blocks = sc.unit_frame.blocks
+    q = np.stack([np.sum(u_pts[:, b.indices] ** 2, axis=1) for b in blocks], axis=-1)
     monomials = np.stack([u_wts * np.prod(q ** np.array(delta), axis=-1)
-                          for delta in _deltas(sc.corank, len(sc.blocks))])
+                          for delta in _deltas(sc.corank, len(blocks))])
     den = pairwise_sum(v_side * pairwise_sums(monomials))
     a = math.sqrt(-K) / math.sqrt(N - 1.0) * _true_norm(np.linalg.norm(u_pts, axis=1), e)
     t_col = np.array(ts)[:, None]

@@ -15,7 +15,7 @@ governs which (rank, corank, spectrum) combinations are realizable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -258,7 +258,8 @@ def existence_check(spec: GroupSpec) -> ExistenceResult:
 
 @dataclass(frozen=True)
 class SpectralBlock:
-    """One distinct eigenvalue of S with the horizontal indices it acts on."""
+    """One distinct eigenvalue of S with the horizontal indices it acts on,
+    as :attr:`StructureConstants.blocks` derives it."""
 
     alpha: float
     indices: np.ndarray
@@ -267,49 +268,96 @@ class SpectralBlock:
         idx = np.asarray(self.indices, dtype=np.intp)
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
-        if idx.size % 2 != 0 or idx.size == 0:
-            raise DimensionMismatch(
-                f"eigenblock for alpha={self.alpha} must have even positive "
-                f"dimension, got {idx.size}"
-            )
 
     @property
     def pairs(self) -> int:
         return self.indices.size // 2
 
 
+def _as_matrices(S, L):
+    # S as a square float matrix and L as one (p, k, k) float array, p >= 1
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise DimensionMismatch(f"S must be square, got shape {S.shape}")
+    L = [np.asarray(a, dtype=np.float64) for a in L]
+    if not L:
+        raise DimensionMismatch("the skew family must contain at least one matrix")
+    for i, a in enumerate(L):
+        if a.shape != S.shape:
+            raise DimensionMismatch(f"L[{i}] has shape {a.shape}, expected {S.shape}")
+    return S, np.stack(L)
+
+
 @dataclass(frozen=True, eq=False)
 class StructureConstants:
-    """Realized structure: the operator S, the skew family L, and the block data."""
+    """Realized structure: the operator S and the skew family L, shape (p, k, k).
 
-    spec: GroupSpec
+    The blocks (one per distinct non-zero entry of diag(S), increasing), ker
+    S and the spec derive from diag(S) by exact equality.  Construction
+    checks the shapes and, exactly, that S is diagonal, non-negative and
+    non-zero with every non-zero entry of even multiplicity; the Clifford
+    relations are checked by :func:`structure_from_matrices`.
+    """
+
     S: np.ndarray
-    L: np.ndarray  # shape (p, k, k)
-    blocks: tuple[SpectralBlock, ...]
-    kernel_indices: np.ndarray
+    L: np.ndarray
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=np.float64)
+        S, L = _as_matrices(self.S, self.L)
         S.flags.writeable = False
-        object.__setattr__(self, "S", S)
-        L = np.stack([np.asarray(a, dtype=np.float64) for a in self.L])
         L.flags.writeable = False
+        object.__setattr__(self, "S", S)
         object.__setattr__(self, "L", L)
-        ker = np.asarray(self.kernel_indices, dtype=np.intp)
+        # exact tests, where validate_structure has a tolerance: the blocks
+        # index eigenspaces by coordinates
+        diag = np.diagonal(S)
+        if np.any(S - np.diag(diag) != 0.0):
+            raise StructureInvalid("S must be exactly diagonal in explicit form")
+        if np.any(diag < 0):
+            raise StructureInvalid("S must be non-negative")
+        if not np.any(diag):
+            raise StructureInvalid("S must be non-zero")
+        self.blocks  # checks the multiplicities
+
+    @cached_property
+    def blocks(self) -> tuple[SpectralBlock, ...]:
+        """One block per distinct non-zero entry of diag(S), in increasing order."""
+        s = self.s_diag
+        blocks = []
+        for alpha in sorted(set(s[s > 0.0].tolist())):
+            idx = np.flatnonzero(s == alpha)
+            if idx.size % 2:
+                raise StructureInvalid(
+                    f"eigenvalue {alpha:g} of S has odd multiplicity {idx.size}; "
+                    "non-zero eigenvalues must come in pairs"
+                )
+            blocks.append(SpectralBlock(alpha, idx))
+        return tuple(blocks)
+
+    @cached_property
+    def kernel_indices(self) -> np.ndarray:
+        """The horizontal coordinates of ker S, where diag(S) is 0."""
+        ker = np.flatnonzero(self.s_diag == 0.0)
         ker.flags.writeable = False
-        object.__setattr__(self, "kernel_indices", ker)
+        return ker
 
-    @property
+    @cached_property
+    def spec(self) -> GroupSpec:
+        return GroupSpec(rank=self.rank, corank=self.corank,
+                         spectrum=tuple((b.alpha, b.pairs) for b in self.blocks),
+                         kernel_dim=self.kernel_indices.size)
+
+    @cached_property
     def rank(self) -> int:
-        return self.spec.rank
+        return self.S.shape[0]
 
-    @property
+    @cached_property
     def corank(self) -> int:
-        return self.spec.corank
+        return self.L.shape[0]
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return self.spec.dim
+        return self.rank + self.corank
 
     @cached_property
     def s_diag(self) -> np.ndarray:
@@ -327,6 +375,11 @@ class StructureConstants:
             return slice(int(idx[0]), int(idx[-1]) + 1)
         return idx
 
+    def su_nonzero(self, u) -> bool:
+        """S u != 0, decided exactly: u has a non-zero entry off ker S.  No
+        product s_c u_c is formed, which could underflow to 0."""
+        return bool(np.any(np.asarray(u)[self.s_positive]))
+
     @property
     def alpha_max(self) -> float:
         return self.blocks[-1].alpha
@@ -343,23 +396,19 @@ class StructureConstants:
 
     @cached_property
     def unit_frame(self) -> "StructureConstants":
-        """This group in the frame where alpha_max lies in [1/2, 1).
+        """This group in the frame where alpha_max lies in [1/2, 1): the
+        structure (2^-a S, 2^-a L), a = unit_exponent.
 
-        With a = unit_exponent, (x, z) -> (x, 2^-a z) maps the group of
-        (S, L) onto the group of (2^-a S, 2^-a L), and covectors map as
-        (u, v) -> (u, 2^a v): every angle s_c |v| keeps its bits, lengths
-        |u| are unchanged, J scales by 4^(-a p), and R = 2 pi / alpha_max
-        lies in (2 pi, 4 pi].  The frame holds S, L and the block alphas
-        times 2^-a, exactly wherever they stay in the normal float range,
-        and shares this structure's spec, whose spectrum stays in the
-        user's units.  It runs no spec check: an alpha far below alpha_max,
-        such as 1e-300 beside 1e300, rounds to 0 in the frame, where its
-        block acts as ker S.
+        (x, z) -> (x, 2^-a z) maps the group onto the frame's, and covectors
+        map as (u, v) -> (u, 2^a v): every angle s_c |v| keeps its bits, |u|
+        is unchanged, J scales by 4^(-a p), and R lies in (2 pi, 4 pi].  The
+        frame's blocks, ker S and spec describe 2^-a S: an entry that rounds
+        to 0 there, as 1e-300 beside 1e300 does, joins ker S.
         """
         a = self.unit_exponent
-        return replace(self, S=np.ldexp(self.S, -a), L=np.ldexp(self.L, -a),
-                       blocks=tuple(SpectralBlock(math.ldexp(b.alpha, -a), b.indices)
-                                    for b in self.blocks))
+        if a == 0:
+            return self
+        return StructureConstants(np.ldexp(self.S, -a), np.ldexp(self.L, -a))
 
     def block_alphas(self) -> np.ndarray:
         return np.array([b.alpha for b in self.blocks])
@@ -381,25 +430,14 @@ def build_structure(spec: GroupSpec) -> StructureConstants:
         raise SpecNotRealizable(result.detail)
     k, p = spec.rank, spec.corank
     s = np.zeros(k)
-    L = [np.zeros((k, k)) for _ in range(p)]
-    blocks = []
+    L = np.zeros((p, k, k))
     pos = spec.kernel_dim
     for alpha, pairs in spec.spectrum:
-        bdim = 2 * pairs
-        idx = np.arange(pos, pos + bdim)
-        fam = anticommuting_family(bdim, p)
-        for a in range(p):
-            L[a][np.ix_(idx, idx)] = alpha * fam[a]
+        idx = slice(pos, pos + 2 * pairs)
+        L[:, idx, idx] = alpha * np.stack(anticommuting_family(2 * pairs, p))
         s[idx] = alpha
-        blocks.append(SpectralBlock(alpha, idx))
-        pos += bdim
-    return StructureConstants(
-        spec=spec,
-        S=np.diag(s),
-        L=tuple(L),
-        blocks=tuple(blocks),
-        kernel_indices=np.arange(spec.kernel_dim),
-    )
+        pos += 2 * pairs
+    return StructureConstants(np.diag(s), L)
 
 
 def l_of_v(sc: StructureConstants, v) -> np.ndarray:
@@ -442,70 +480,64 @@ def validate_structure(S, L, tol: float = 1e-12, seed: int = DEFAULT_SEED,
     Verifies that S is symmetric, non-negative and non-zero, that each L^a is
     skew, that the family is linearly independent, and that the Clifford-type
     relation holds on the standard basis of R^p plus ``random_pairs`` seeded
-    random unit pairs.  Returns a per-check report; nothing is raised on
-    mathematical failure (shape inconsistencies do raise).
+    random unit pairs.  The checks run on 2^-a (S, L), with |S|_max 2^-a in
+    [1/2, 1), so no product leaves the float range, and residuals are
+    relative to |S|_max, the largest entry of S (squared for the Clifford
+    relations); at |S|_max = 1 they keep their bits.  A residual that is not
+    finite fails its check.  Returns a per-check report; nothing is raised
+    on mathematical failure (shape inconsistencies do raise).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionMismatch(f"S must be square, got shape {S.shape}")
-    k = S.shape[0]
-    L = [np.asarray(a, dtype=np.float64) for a in L]
-    if not L:
-        raise DimensionMismatch("the skew family must contain at least one matrix")
-    for i, a in enumerate(L):
-        if a.shape != (k, k):
-            raise DimensionMismatch(
-                f"L[{i}] has shape {a.shape}, expected ({k}, {k})"
-            )
+    S, L = _as_matrices(S, L)
     p = len(L)
+    # unit is |S|_max 2^-a in [1/2, 1), and 1 for S = 0
+    unit, a = math.frexp(float(np.max(np.abs(S), initial=0.0)))
+    unit = unit or 1.0
+    S, L = np.ldexp(S, -a), np.ldexp(L, -a)
     checks = []
 
-    sym = float(np.max(np.abs(S - S.T))) if k else 0.0
-    checks.append(CheckResult("S symmetric", sym <= tol, sym))
+    def check(name, residual, scale):
+        residual = float(residual) / scale
+        checks.append(CheckResult(name, residual <= tol, residual))
+
+    check("S symmetric", np.max(np.abs(S - S.T), initial=0.0), unit)
     evals = np.linalg.eigvalsh(0.5 * (S + S.T))
-    neg = float(max(0.0, -evals.min()))
-    checks.append(CheckResult("S non-negative", neg <= tol, neg))
-    top = float(evals.max())
+    # np.maximum keeps a NaN, and + 0.0 turns its -0.0 into 0.0
+    check("S non-negative", np.maximum(0.0, -evals.min()) + 0.0, unit)
+    top = float(evals.max()) / unit
     checks.append(
         CheckResult("S non-zero", top > tol, 0.0 if top > tol else 1.0,
-                     f"largest eigenvalue {top:.3e}")
+                     f"largest eigenvalue {top:.3e} relative to |S|_max")
     )
 
-    skew = max(float(np.max(np.abs(a + a.T))) for a in L)
-    checks.append(CheckResult("skew-symmetry of L", skew <= tol, skew))
+    check("skew-symmetry of L", np.max(np.abs(L + L.transpose(0, 2, 1))), unit)
 
     # linear independence of the family, scale-normalized
-    flat = np.stack([a.ravel() for a in L])
-    sv = np.linalg.svd(flat, compute_uv=False)
+    sv = np.linalg.svd(L.reshape(p, -1), compute_uv=False)
     dep = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     checks.append(
         CheckResult("linear independence of L", dep > tol, 0.0 if dep > tol else 1.0,
                      f"normalized smallest singular value {dep:.3e}")
     )
 
+    # np.max, unlike max, keeps a NaN residual, which then fails its check
     S2 = S @ S
-    res_basis = 0.0
-    for a in range(p):
-        for b in range(a, p):
-            target = -2.0 * S2 if a == b else np.zeros((k, k))
-            res = np.max(np.abs(L[a] @ L[b] + L[b] @ L[a] - target))
-            res_basis = max(res_basis, float(res))
-    checks.append(CheckResult("Clifford relations on basis pairs", res_basis <= tol,
-                              res_basis))
+    res_basis = np.max([np.max(np.abs(L[i] @ L[j] + L[j] @ L[i]
+                                      + (2.0 * S2 if i == j else 0.0)))
+                        for i in range(p) for j in range(i, p)])
+    check("Clifford relations on basis pairs", res_basis, unit * unit)
 
     rng = generator(seed, stream=1)
-    res_rand = 0.0
+    res_rand = [0.0]
     for _ in range(random_pairs):
         v = unit_vector(rng, p)
         w = unit_vector(rng, p)
         Lv = sum(c * a for c, a in zip(v, L))
         Lw = sum(c * a for c, a in zip(w, L))
-        res = np.max(np.abs(Lv @ Lw + Lw @ Lv + 2.0 * float(v @ w) * S2))
-        res_rand = max(res_rand, float(res))
-    checks.append(CheckResult(f"Clifford relations on {random_pairs} random pairs",
-                              res_rand <= tol, res_rand))
+        res_rand.append(np.max(np.abs(Lv @ Lw + Lw @ Lv + 2.0 * float(v @ w) * S2)))
+    check(f"Clifford relations on {random_pairs} random pairs", np.max(res_rand),
+          unit * unit)
 
     return ValidationReport(checks=tuple(checks), tol=tol)
 
@@ -513,57 +545,23 @@ def validate_structure(S, L, tol: float = 1e-12, seed: int = DEFAULT_SEED,
 def structure_from_matrices(S, L, tol: float = 1e-12) -> StructureConstants:
     """Ingest explicit (S, L) matrices, deriving the spectral block data.
 
-    S may be given as a length-k diagonal or a k x k matrix; it must be
-    exactly diagonal (the block machinery indexes eigenspaces by coordinate
-    sets).  Diagonal entries are grouped by exact equality; each non-zero
-    value must appear an even number of times.  The matrices are run through
-    :func:`validate_structure` and rejected on failure.
+    S may be given as a length-k diagonal or a k x k matrix.  The exact
+    checks of :class:`StructureConstants` come first (S exactly diagonal,
+    non-negative and non-zero, every non-zero value of even multiplicity),
+    then :func:`validate_structure` at ``tol``, relative to the largest
+    entry of S; either failure raises StructureInvalid.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim == 1:
         S = np.diag(S)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatch(f"S must be square or a diagonal vector, got {S.shape}")
-    k = S.shape[0]
-    # Exact tests, where validate_structure tests to tol only: the blocks
-    # index eigenspaces by coordinates, and a diagonal entry of -1e-13 would
-    # pass at tol and reach GroupSpec as a negative alpha, a ValueError where
-    # the structure is invalid
-    if np.any(S - np.diag(np.diagonal(S)) != 0.0):
-        raise StructureInvalid("S must be exactly diagonal in explicit form")
-    diag = np.diagonal(S)
-    if np.any(diag < 0):
-        raise StructureInvalid("S must be non-negative")
-
-    report = validate_structure(S, L, tol=tol)
+    sc = StructureConstants(S, L)
+    report = validate_structure(sc.S, sc.L, tol=tol)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
         raise StructureInvalid(
             f"structure relations fail at tolerance {tol:g}: {names} "
             f"(max residual {report.max_residual:.3e})"
         )
-
-    kernel = np.flatnonzero(diag == 0.0)
-    values = sorted(set(float(a) for a in diag if a != 0.0))
-    blocks = []
-    for alpha in values:
-        idx = np.flatnonzero(diag == alpha)
-        if idx.size % 2 != 0:
-            raise StructureInvalid(
-                f"eigenvalue {alpha:g} of S has odd multiplicity {idx.size}; "
-                "non-zero eigenvalues must come in pairs"
-            )
-        blocks.append(SpectralBlock(alpha, idx))
-    spec = GroupSpec(
-        rank=k,
-        corank=len(L),
-        spectrum=tuple((b.alpha, b.pairs) for b in blocks),
-        kernel_dim=int(kernel.size),
-    )
-    return StructureConstants(
-        spec=spec,
-        S=S,
-        L=tuple(np.asarray(a, dtype=np.float64) for a in L),
-        blocks=tuple(blocks),
-        kernel_indices=kernel,
-    )
+    return sc

@@ -432,6 +432,24 @@ WIDE_SPECTRUM = {"rank": 4, "corank": 1, "kernel_dim": 0,
                               {"alpha": 1e300, "pair_multiplicity": 1}]}
 
 
+def _explicit(s_diag, pair, scale=1.0):
+    # S_diagonal with L = scale J on the coordinates `pair`
+    mat = np.zeros((len(s_diag), len(s_diag)))
+    mat[pair[0], pair[1]], mat[pair[1], pair[0]] = scale, -scale
+    return {"S_diagonal": s_diag, "L_matrices": [mat.tolist()]}
+
+
+# explicit configs that validate judged apart from every other command (an
+# odd multiplicity and a negative entry below the tolerance), and the group
+# of alpha = 1e160 and 1e-200 in explicit form, whose checks left the float range
+EXPLICIT_EDGES = {
+    "odd": _explicit([1.0, 1.000000000000001], (0, 1)),
+    "negative": _explicit([0.0, 0.0, 1.0, 1.0, -1e-13], (2, 3)),
+    "1e160": _explicit([1e160, 1e160], (0, 1), 1e160),
+    "1e-200": _explicit([1e-200, 1e-200], (0, 1), 1e-200),
+}
+
+
 # (config, u, v): one-block configs far from alpha = 1, "alpha=" of rank 2
 # and corank 1, "alpha4x3=" of rank 4 and corank 3, and a covector for exp
 EXTREME_ALPHA_CONFIGS = [("alpha=1e-200", "1,0.3", "1"),
@@ -493,6 +511,17 @@ EXTREME_ALPHA_CONFIGS = [("alpha=1e-200", "1,0.3", "1"),
       for alpha in ("1e-16", "1e-300")],
     *[pytest.param(["mcp", f"alpha4x3={alpha}", "--box", "sharpness", "--t-grid", "0.5"], 0,
                    id=f"mcp-sharpness-box-alpha-{alpha}") for alpha in ("1e-16", "1e-300")],
+    # validate ran only the tolerance checks; exp rejected both
+    *[pytest.param(["validate", f"explicit-{name}"], 1, id=f"validate-explicit-{name}")
+      for name in ("odd", "negative")],
+    # at 1e160 the checks overflowed, with RuntimeWarnings and nan residuals
+    # that read as passes; at 1e-200, "S non-zero" failed
+    *[pytest.param(["validate", f"explicit-{name}"], 0, id=f"validate-explicit-{name}")
+      for name in ("1e160", "1e-200")],
+    pytest.param(["exp", "explicit-1e-200", "--u=1,0.3", "--v=1"], 0, id="exp-explicit-1e-200"),
+    # s_c u_c = 1e-350 underflowed to 0 and read as S u = 0
+    pytest.param(["mcp", "alpha=1e-200", "--box=1e-150,1e-150,0.5;2e-150,2e-150,1"], 0,
+                 id="mcp-tiny-u-box-alpha-1e-200"),
     # alphas 1e-300 and 1e300: the smaller rounds to 0 in the unit frame
     *[pytest.param([command, "wide", *extra], 0, id=f"wide-spectrum-{command}")
       for command, extra in (("validate", []), ("exp", ["--u=1,0.3,-0.5,0.8", "--v=1e-301"]),
@@ -515,6 +544,8 @@ def test_bad_and_extreme_inputs_exit_codes(tmp_path, argv, code):
             return str(_alpha_config(tmp_path, float(arg[9:]), 4, 3))
         if arg == "wide":
             return str(write_config(tmp_path, WIDE_SPECTRUM))
+        if arg.startswith("explicit-"):
+            return str(write_config(tmp_path, EXPLICIT_EDGES[arg[9:]]))
         return arg
     res = run_cli(*map(resolve, argv))
     assert res.returncode == code, res.stderr

@@ -134,6 +134,16 @@ def test_cut_time_keeps_its_bits_in_range(group):
         assert cut_time(group, lam) == 2.0 * np.pi / (group.alpha_max * math.hypot(*lam.v))
 
 
+def test_s_u_test_is_exact_at_tiny_alpha():
+    # at alpha = 1e-200 the product s_c u_c = 1e-400 underflowed to 0 and
+    # read as S u = 0: the covector was abnormal, outside D, with cut time inf
+    sc = one_block(2, 1, 1e-200)
+    lam = Covector([1e-200, 0.0], [1.0])
+    assert not is_abnormal(sc, lam)
+    assert in_injectivity_domain(sc, lam)
+    assert cut_time(sc, lam) == 6.283185307179586e+200
+
+
 def test_injectivity_domain_membership(heis, degenerate):
     assert in_injectivity_domain(heis, Covector([1.0, 0.0], [6.0]))
     assert not in_injectivity_domain(heis, Covector([1.0, 0.0], [2.0 * np.pi]))

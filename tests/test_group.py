@@ -33,8 +33,8 @@ def test_identity_and_inverse(group):
         pinv = inverse(p)
         left = multiply(group, pinv, p).as_vector()
         right = multiply(group, p, pinv).as_vector()
-        assert np.max(np.abs(left)) <= 1e-15
-        assert np.max(np.abs(right)) <= 1e-15
+        # exactly: distance(p, p) is 0 through the identity
+        assert not np.any(left) and not np.any(right)
 
 
 def test_associativity_exact_on_integers(group):

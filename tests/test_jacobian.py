@@ -14,7 +14,7 @@ from htcarnot import (
 )
 from htcarnot.geodesics import _jacobian_core
 
-from conftest import seeded_covectors
+from conftest import one_block, seeded_covectors
 
 
 def block_jacobian(sc, lam):
@@ -116,3 +116,40 @@ def test_scaling_exponent_at_zero_momentum(group):
     for t in (0.5, 0.25):
         got = jacobian(group, Covector(t * u, z))
         assert got == pytest.approx(t ** (2 * group.corank) * base, rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (4, 3)])
+@pytest.mark.parametrize("j", [-600, 600])
+def test_invariant_under_scaling_alpha_against_u_and_v(shape, j):
+    # J scales by 4^(j p) with alpha = 2^j at fixed angles and by 4^(-j p)
+    # with u times 2^-j, so the group of alpha = 2^j at (2^-j u, 2^-j v) has
+    # the J of alpha = 1 at (u, v), bit for bit; alpha^2 left the float range
+    unit, far = one_block(*shape, 1.0), one_block(*shape, 2.0**j)
+    for u, v in seeded_covectors(unit, 6, stream=23):
+        want = jacobian(unit, Covector(u, v))
+        assert jacobian(far, Covector(np.ldexp(u, -j), np.ldexp(v, -j))) == want
+
+
+@pytest.mark.parametrize("k", [-300, 300])
+def test_scales_exactly_with_u(group, k):
+    # J(2^k u, v) = 4^(k p) J(u, v) bit for bit, inf or 0 only where that is
+    # beyond the float range (at p = 3)
+    for u, v in seeded_covectors(group, 6, stream=24):
+        with np.errstate(over="ignore"):
+            want = np.ldexp(jacobian(group, Covector(u, v)), 2 * k * group.corank)
+        assert jacobian(group, Covector(np.ldexp(u, k), v)) == want
+
+
+@pytest.mark.parametrize("alpha, u, want", [
+    # alpha^2 overflowed and u^2 underflowed: nan; the alpha = 1e160 value is
+    # the alpha = 1 value at u = 1e-40 up to its rounding
+    (1e160, [1e-200, 0.0], 6.537709321558435e-82),
+    # alpha^2 underflowed: 0.0
+    (1e-200, [1e150, 0.0], 6.5377093215584335e-102),
+    # the bits of heisenberg3 before J moved to the unit frame
+    (1.0, [1.0, 0.0], 0.06537709321558435),
+    (1.0, [1.0, 0.3], 0.07126103160498695),
+])
+def test_at_extreme_alpha_and_u(alpha, u, want):
+    sc = one_block(2, 1, alpha)
+    assert jacobian(sc, Covector(u, [0.3 * sc.first_conjugate_radius])) == want

@@ -401,6 +401,12 @@ def test_inversion_keeps_its_bits(name, x, z, cut, u, v, dist):
         assert np.array_equal(log_map(sc, target).as_vector(), lam.as_vector())
 
 
+def test_distance_from_a_point_to_itself_is_zero(group):
+    for u, v in seeded_covectors(group, 5, stream=25):
+        p = exp_map(group, Covector(u, v))
+        assert distance(group, p, p).value == 0.0
+
+
 @pytest.mark.parametrize("shape", [(2, 1), (4, 3)])
 @pytest.mark.parametrize("j", [-600, 600])
 def test_maps_are_invariant_under_scaling_alpha_against_v(shape, j):

@@ -805,6 +805,33 @@ def test_jacobian_contraction_fails_on_nan_margins(heis, monkeypatch):
     assert math.isnan(rep.min_margin) and not rep.passed
 
 
+def test_tiny_u_box_at_tiny_alpha():
+    # s_c u_c = 1e-350 underflowed to 0, and the box check read S u = 0.
+    # The angles alpha |v| are near 1e-200 either way, so the ratio is that
+    # of the alpha = 1 box with v scaled down, t^5 at v -> 0
+    ts = [0.1, 0.5, 0.9]
+    u_lo, u_hi = [1e-150, 1e-150], [2e-150, 2e-150]
+    tiny = mcp_report(one_block(2, 1, 1e-200), 0.0, 5.0,
+                      CovectorBox(u_lo + [0.5], u_hi + [1.0]), ts, 8)
+    unit = mcp_report(one_block(2, 1, 1.0), 0.0, 5.0,
+                      CovectorBox(u_lo + [0.5e-200], u_hi + [1e-200]), ts, 8)
+    assert tiny.ratios == unit.ratios and tiny.ratios[1] == 0.5**5
+
+
+def test_wide_spectrum_integrates_in_its_unit_frame():
+    # beside 1e300 the block of 1e-300 rounds to 0 in the unit frame, whose
+    # blocks pair the Jacobian's coefficients with the u-moments: the group
+    # integrates as the one with that block in ker S, bit for bit
+    wide = build_structure(GroupSpec(rank=4, corank=1, spectrum=((1e-300, 1), (1e300, 1))))
+    kernel = build_structure(GroupSpec(rank=4, corank=1, spectrum=((1e300, 1),), kernel_dim=2))
+    v_lo, v_hi = default_box(wide).lower[4], default_box(wide).upper[4]
+    box = CovectorBox([0.5, 0.6, 0.9, 1.1, v_lo], [1.0, 1.5, 1.7, 2.0, v_hi])
+    for K in (0.0, -1.0):
+        want = mcp_report(kernel, K, 7.0, box, [0.25, 0.5, 0.75], 5)
+        got = mcp_report(wide, K, 7.0, box, [0.25, 0.5, 0.75], 5)
+        assert got.ratios == want.ratios and got.bounds == want.bounds
+
+
 def test_box_beyond_the_radius_is_rejected_at_tiny_v():
     # |v| = 2e-299 squares to 0 in an unscaled norm, which passed the box
     sc = one_block(2, 1, 1e300)

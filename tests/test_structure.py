@@ -1,10 +1,16 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from htcarnot import (
     Covector,
+    DimensionMismatch,
     GroupSpec,
     SpecNotRealizable,
+    StructureConstants,
     StructureInvalid,
     anticommuting_family,
     build_structure,
@@ -182,6 +188,38 @@ def test_validate_structure_failure_modes():
     assert "skew-symmetry of L" in [c.name for c in report.failures()]
 
 
+# skew matrices on R^4 that square to -I: (A, B) anticommute, and
+# AC + CA = diag(-2, -2, 2, 2)
+_A = np.kron(np.eye(2), J)
+_B = np.kron(J, np.array([[1.0, 0.0], [0.0, -1.0]])) @ _A
+_C = np.kron(np.diag([1.0, -1.0]), J)
+_CLIFFORD_ROWS = {"Clifford relations on basis pairs", "Clifford relations on 64 random pairs"}
+
+
+@pytest.mark.parametrize("scale", [1e160, 1.0, 1e-200, 2.0**-1000])
+def test_validate_structure_runs_in_the_unit_frame(scale):
+    # residuals are relative to the largest entry of S.  At 1e160 the
+    # products overflowed to nan residuals that read as "PASS 0.0" after
+    # RuntimeWarnings, and at 1e-200 "S non-zero" failed at the absolute
+    # tolerance while the Clifford rows underflowed to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        good = validate_structure(scale * np.eye(4), scale * np.stack([_A, _B]))
+        bad = validate_structure(scale * np.eye(4), scale * np.stack([_A, _C]))
+    assert good.passed and all(math.isfinite(c.residual) for c in good.checks)
+    assert {c.name for c in bad.failures()} == _CLIFFORD_ROWS
+    assert bad.checks[-2].residual == 2.0 and bad.checks[-1].residual > 1.99
+
+
+def test_validate_structure_fails_a_non_finite_residual():
+    # max(0.0, nan) is 0.0: a nan residual read as a pass
+    L = J.copy()
+    L[0, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        report = validate_structure(np.eye(2), L[None])
+    assert _CLIFFORD_ROWS <= {c.name for c in report.failures()}
+
+
 def test_validate_structure_seeded_pairs_deterministic():
     a = validate_structure(np.eye(2), J[None], seed=5)
     b = validate_structure(np.eye(2), J[None], seed=5)
@@ -234,15 +272,55 @@ def test_structure_from_matrices_rejects_invalid():
         structure_from_matrices(s, J[None])
 
 
+def test_structure_constants_is_s_and_l(group):
+    # the blocks, ker S and the spec derive from diag(S), and stay cached
+    assert [f.name for f in dataclasses.fields(StructureConstants)] == ["S", "L"]
+    rebuilt = StructureConstants(group.S.copy(), group.L.copy())
+    assert rebuilt.spec == group.spec and rebuilt.spec is rebuilt.spec
+    assert rebuilt.kernel_indices.tolist() == list(range(group.spec.kernel_dim))
+    start = group.spec.kernel_dim
+    for block, (alpha, pairs) in zip(rebuilt.blocks, group.spec.spectrum, strict=True):
+        assert block.alpha == alpha
+        assert block.indices.tolist() == list(range(start, start + 2 * pairs))
+        start += 2 * pairs
+
+
+@pytest.mark.parametrize("S, message", [
+    (np.array([[1.0, 0.1], [0.1, 1.0]]), "exactly diagonal"),
+    (np.diag([1.0, -1e-300]), "non-negative"),
+    (np.zeros((2, 2)), "non-zero"),
+    (np.diag([1.0, 1.0 + 2.0**-52]), "odd multiplicity"),
+])
+def test_structure_constants_makes_the_exact_checks(S, message):
+    with pytest.raises(StructureInvalid, match=message):
+        StructureConstants(S, J[None])
+
+
+def test_structure_constants_checks_shapes():
+    with pytest.raises(DimensionMismatch):
+        StructureConstants(np.eye(2), np.zeros((1, 3, 3)))
+    with pytest.raises(DimensionMismatch):
+        StructureConstants(np.eye(2), np.zeros((0, 2, 2)))
+    with pytest.raises(DimensionMismatch):
+        StructureConstants(np.ones(2), J[None])
+
+
 @pytest.mark.parametrize("spectrum", [((1.0, 1),), ((1.0, 1), (2.0, 1)), ((1e-300, 1), (1e300, 1))])
 def test_unit_frame_scales_s_and_l_by_the_exponent_of_alpha_max(spectrum):
-    # the frame is built without the spec's checks: beside 1e300, the alpha
-    # 1e-300 times 2^-997 rounds to 0, which GroupSpec rejects
+    # the frame is the structure (2^-a S, 2^-a L), with its own blocks, ker S
+    # and spec: beside 1e300, the alpha 1e-300 times 2^-997 rounds to 0, and
+    # its block joins ker S
     sc = build_structure(GroupSpec(rank=4 if len(spectrum) == 2 else 2, corank=1,
                                    spectrum=spectrum))
     a, fr = sc.unit_exponent, sc.unit_frame
     assert 0.5 <= fr.alpha_max < 1.0 and fr.alpha_max == np.ldexp(sc.alpha_max, -a)
     assert np.array_equal(fr.S, np.ldexp(sc.S, -a)) and np.array_equal(fr.L, np.ldexp(sc.L, -a))
-    assert fr.block_alphas().tolist() == np.ldexp(sc.block_alphas(), -a).tolist()
-    assert fr.spec is sc.spec and sc.alpha_max == sc.spec.alpha_max
+    kept = tuple((alpha, m) for alpha, m in ((math.ldexp(alpha, -a), m) for alpha, m in spectrum)
+                 if alpha > 0.0)
+    kernel_dim = sc.rank - 2 * sum(m for _, m in kept)
+    assert fr.spec == GroupSpec(rank=sc.rank, corank=1, spectrum=kept, kernel_dim=kernel_dim)
+    assert fr.kernel_indices.tolist() == list(range(kernel_dim))
+    assert [b.indices.tolist() for b in fr.blocks] == \
+        [b.indices.tolist() for b in sc.blocks[len(spectrum) - len(kept):]]
+    assert sc.alpha_max == sc.spec.alpha_max and fr.unit_frame is fr
     assert 2.0 * np.pi < fr.first_conjugate_radius <= 4.0 * np.pi

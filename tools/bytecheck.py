@@ -87,6 +87,26 @@ def _wide_config(workdir: Path) -> str:
     return str(path)
 
 
+# (name, S_diagonal, the pair of coordinates of L = scale J, scale): an odd
+# multiplicity, a negative entry within the tolerance, and the group of
+# alpha = 1e160 and of 1e-200 in explicit form
+EXPLICIT_CONFIGS = [
+    ("odd", [1.0, 1.000000000000001], (0, 1), 1.0),
+    ("negative", [0.0, 0.0, 1.0, 1.0, -1e-13], (2, 3), 1.0),
+    ("1e160", [1e160, 1e160], (0, 1), 1e160),
+    ("1e-200", [1e-200, 1e-200], (0, 1), 1e-200),
+]
+
+
+def _explicit_config(workdir: Path, name: str, s_diag, pair, scale) -> str:
+    k = len(s_diag)
+    mat = [[0.0] * k for _ in range(k)]
+    mat[pair[0]][pair[1]], mat[pair[1]][pair[0]] = scale, -scale
+    path = workdir / f"explicit-{name}.json"
+    path.write_text(json.dumps({"S_diagonal": s_diag, "L_matrices": [mat]}))
+    return str(path)
+
+
 def commands(workdir: Path) -> list[list[str]]:
     """Every argv of the check; config files and --out paths lie in workdir."""
     csv = ["--out", str(workdir / "out.csv")]
@@ -131,6 +151,13 @@ def commands(workdir: Path) -> list[list[str]]:
               ["exp", wide, "--u=1,0.3,-0.5,0.8", "--v=1e-301", "--steps", "4", *csv],
               ["mcp", wide, "--quad", "5", *csv],
               *[["log", wide, f"--x={x}", "--z=1"] for x in ("1,0,0.5,0", "0,0,0,0")]]
+    explicit = {name: _explicit_config(workdir, name, *rest) for name, *rest in EXPLICIT_CONFIGS}
+    argvs += [["validate", path] for path in explicit.values()]
+    argvs.append(["exp", explicit["1e-200"], "--u=1,0.3", "--v=1", "--steps", "4", *csv])
+    # s_c u_c underflowed to 0 at alpha = 1e-200 and read as S u = 0
+    tiny_alpha = _config(workdir, 2, 1, "1e-200")
+    argvs += [["exp", tiny_alpha, "--u=1e-200,0", "--v=1", "--steps", "1", *csv],
+              ["mcp", tiny_alpha, "--box=1e-150,1e-150,0.5;2e-150,2e-150,1", *csv]]
     return argvs
 
 
