@@ -20,6 +20,7 @@ import math
 import os
 import stat
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ from .mcp import (
 )
 from .quadrature import NODE_BUDGET
 from .randomness import check_seed
-from .structure import existence_check, validate_structure
+from .structure import accept_matrices, existence_check
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -141,9 +142,10 @@ def _resolve_group(args):
     if args.group is not None:
         return catalog_structure(args.group), None
     try:
-        return None, parse_config(args.config)
+        cfg = parse_config(args.config)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.config}: {exc.strerror or exc}") from None
+    return None, cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _structure(args):
@@ -186,17 +188,15 @@ def _fmt(x: float) -> str:
 def cmd_validate(args) -> int:
     sc, cfg = _resolve_group(args)
     if cfg is not None and not cfg.is_spectral:
-        seed = cfg.seed if args.seed is None else args.seed
-        report = validate_structure(np.diag(cfg.s_diagonal), cfg.l_matrices,
-                                    tol=cfg.tolerance, seed=seed)
+        # the acceptance of realize(), with its report
+        _, report = accept_matrices(cfg.s_diagonal, cfg.l_matrices,
+                                    tol=cfg.tolerance, seed=cfg.seed)
         for check in report.checks:
             _say(args, f"{'PASS' if check.passed else 'FAIL'}  {check.name}"
                        f"  (residual {check.residual:.3e})")
         if not report.passed:
             _say(args, "structure validation failed")
             return EXIT_VALIDATION
-        # the acceptance of every other command, with its exact checks
-        cfg.realize()
         _say(args, "structure valid")
         return EXIT_OK
     spec = cfg.spec if cfg is not None else sc.spec

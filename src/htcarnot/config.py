@@ -9,11 +9,11 @@ JSON with exactly one of two forms:
              "L_matrices": [p row-major k x k arrays]}
 
 plus optional top-level "seed" (an integer in [0, 2**64)) and "tolerance"
-(real in (0, 1), default 1e-12, used to validate the explicit form, relative
-to the largest entry of S).  Schema
-problems and the values GroupSpec rejects raise ConfigError; a well-formed
-config that fails the mathematical checks raises
-StructureInvalid/SpecNotRealizable from realize().
+(real in (0, 1), default 1e-12, relative to the largest entry of S), both
+used to validate the explicit form.  Schema problems and the values
+GroupSpec rejects raise ConfigError; a well-formed config that fails the
+mathematical checks raises StructureInvalid/SpecNotRealizable from
+realize(), and one with a non-finite matrix entry ValueError.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ class ParsedConfig:
         return self.spec is not None
 
     def realize(self) -> StructureConstants:
-        """Build structure constants, running the appropriate validation."""
+        """build_structure(spec), or structure_from_matrices at tolerance and seed."""
         if self.spec is not None:
             return build_structure(self.spec)
         return structure_from_matrices(self.s_diagonal, self.l_matrices,
-                                       tol=self.tolerance)
+                                       tol=self.tolerance, seed=self.seed)
 
 
 def _real(value):

@@ -62,8 +62,12 @@ def distortion_coefficient(K: float, N: float, t: float, dist: float) -> float:
         return t
     if K == 0.0:
         return t**N
-    a = math.sqrt(-K) * dist / math.sqrt(N - 1.0)
-    return t * _sinh_ratio(t, a) ** (N - 1.0)
+    return _distortion(K, N, t, dist)
+
+
+def _distortion(K, N, t, dist):
+    # D_t(dist) of distortion_coefficient, elementwise in t and dist
+    return t * _sinh_ratio(t, math.sqrt(-K) / math.sqrt(N - 1.0) * dist) ** (N - 1.0)
 
 
 def _sinh_ratio(t, a):
@@ -179,7 +183,7 @@ def check_jacobian_contraction(sc: StructureConstants, samples: int, t_grid,
     # default box lies inside the injectivity domain, so no row leaves it
     scales = np.array([1.0, *ts])[:, None]
     t_pow = np.array([t ** (2 * p) for t in ts])
-    # J in the unit frame, with v at unit scale as in _box_jacobian_integral:
+    # J in the unit frame, with v at unit scale as in _ratios:
     # the alphas times 2^-a and |v| times 2^a keep every angle alpha |v| bit
     # for bit, and J scales by 4^(-a p) in both terms of each margin.  Its
     # kernel coordinates contribute the factor 1 and the weights 0, and
@@ -405,42 +409,6 @@ def _jacobian_expansion(sc, theta):
     return pref, coeffs
 
 
-def _box_jacobian_integral(sc, box: CovectorBox, scales, quad: int, moments,
-                          v_side: bool = False):
-    """Integrals of J(s u, s v) over the box for each scale s, by factored
-    tensor Gauss-Legendre.
-
-    The integrand is polynomial in u (degree 2p), so the u-integral reduces
-    to the exact moments sum_u w q^delta, one per delta of _deltas; only the
-    v-grid (quad^p nodes) is enumerated, once for all scales, on the
-    v-corners times 2^-e (_unit_corners) with J at the unit frame's |v|,
-    the true |v| times 2^a, and on its blocks, as the moments.  Identical
-    quadrature sum to the full tensor rule, reorganized, up to a power of
-    two common to every scale.  Returns the integrals and, with v_side, the
-    v-side V_delta = sum_v w pref c_delta of the K < 0 distortion average
-    from the row of scales[0], which must then be 1 (else None), both up to
-    that power of two.
-    """
-    p = sc.corank
-    v_lo, v_hi, e = _unit_corners(box.lower[sc.rank:], box.upper[sc.rank:])
-    pts, wts = tensor_grid(v_lo, v_hi, quad)
-    rays = np.multiply.outer(_true_norm(np.linalg.norm(pts, axis=1), e + sc.unit_exponent),
-                             sc.unit_frame.block_alphas())
-    scale_col = np.array(scales, dtype=np.float64)
-    totals = []
-    v_sums = None
-    for rows in _row_batches(len(scales), len(wts)):
-        pref, coeffs = _jacobian_expansion(sc, np.multiply.outer(scale_col[rows], rays))
-        vals = np.zeros_like(pref)
-        for c, moment in zip(coeffs, moments):
-            vals += c * moment
-        totals.extend(pairwise_sums(wts * pref * vals).tolist())
-        if v_side and v_sums is None:
-            weights = wts * pref[0]
-            v_sums = np.array([pairwise_sum(weights * c[0]) for c in coeffs])
-    return [s ** (2 * p) * total for s, total in zip(scales, totals)], v_sums
-
-
 def _require_quadrature(sc, box: CovectorBox, quad: int):
     if quad < 4:
         raise ValueError("need at least 4 quadrature points per dimension")
@@ -448,12 +416,39 @@ def _require_quadrature(sc, box: CovectorBox, quad: int):
     _require_box_in_domain(sc, box)
 
 
-def _ratios(sc, box: CovectorBox, ts, quad: int, moments, v_side: bool = False):
-    # t^n * integral J(t u, t v) / integral J(u, v) for every t of ts, with
-    # one denominator, and the v-side sums of _box_jacobian_integral
-    (den, *nums), v_sums = _box_jacobian_integral(sc, box, [1.0, *ts], quad, moments,
-                                                  v_side)
-    return [t**sc.dim * num / den for t, num in zip(ts, nums)], v_sums
+def _ratios(sc, box: CovectorBox, ts, quad: int, moments):
+    """Ratios t^n * integral J(t u, t v) / integral J(u, v) over the box by
+    factored tensor Gauss-Legendre, and the v-side of the K < 0 average.
+
+    The integrand is polynomial in u (degree 2p), so the u-integral reduces
+    to the exact moments sum_u w q^delta, one per delta of _deltas; only the
+    v-grid (quad^p nodes) is enumerated, once for all t, on the v-corners
+    times 2^-e (_unit_corners) with J at the unit frame's |v|, the true |v|
+    times 2^a, and on its blocks, as the moments.  Identical quadrature sum
+    to the full tensor rule, reorganized, up to a power of two common to
+    every t.  The v-side V_delta = sum_v w pref c_delta is taken at t = 1,
+    up to that power of two.
+    """
+    p = sc.corank
+    v_lo, v_hi, e = _unit_corners(box.lower[sc.rank:], box.upper[sc.rank:])
+    pts, wts = tensor_grid(v_lo, v_hi, quad)
+    rays = np.multiply.outer(_true_norm(np.linalg.norm(pts, axis=1), e + sc.unit_exponent),
+                             sc.unit_frame.block_alphas())
+    scales = np.array([1.0, *ts])
+    totals = []
+    v_side = None
+    for rows in _row_batches(len(scales), len(wts)):
+        pref, coeffs = _jacobian_expansion(sc, np.multiply.outer(scales[rows], rays))
+        vals = np.zeros_like(pref)
+        for c, moment in zip(coeffs, moments):
+            vals += c * moment
+        totals.extend(pairwise_sums(wts * pref * vals).tolist())
+        if v_side is None:
+            # one product per coefficient, which numpy forms in place, so
+            # this holds no more grids than the totals above
+            v_side = np.array([pairwise_sum(wts * pref[0] * c[0]) for c in coeffs])
+    den, *nums = totals
+    return [t**sc.dim * (t ** (2 * p) * num) / den for t, num in zip(ts, nums)], v_side
 
 
 def _unit_corners(lo, hi):
@@ -654,9 +649,7 @@ def _distortion_fit(u_lo, u_hi, K, N, ts, e=0):
     rho = np.append(float(np.sum(centers)) + h * nodes, float(np.sum(top)))
     if not (h > 0.0 and np.all(np.isfinite(rho))):
         return None
-    t_col = np.array(ts)[:, None]
-    a = math.sqrt(-K) / math.sqrt(N - 1.0) * _true_norm(np.sqrt(rho), e)
-    values = t_col * _sinh_ratio(t_col, a) ** (N - 1.0)
+    values = _distortion(K, N, np.array(ts)[:, None], _true_norm(np.sqrt(rho), e))
     least = values[:, -1]
     cheb = pairwise_sums(values[:, None, :-1] * rows)
     # tails[:, d] = sum_{j > d} |c_j|, for d up to _CHEB_MAX_DEGREE
@@ -682,11 +675,11 @@ def _grid_distortion_bounds(sc, u_lo, u_hi, e, K, N, ts, quad, v_side):
     monomials = np.stack([u_wts * np.prod(q ** np.array(delta), axis=-1)
                           for delta in _deltas(sc.corank, len(blocks))])
     den = pairwise_sum(v_side * pairwise_sums(monomials))
-    a = math.sqrt(-K) / math.sqrt(N - 1.0) * _true_norm(np.linalg.norm(u_pts, axis=1), e)
+    dist = _true_norm(np.linalg.norm(u_pts, axis=1), e)
     t_col = np.array(ts)[:, None]
     bounds = []
     for rows in _row_batches(len(ts), monomials.size):
-        weight = t_col[rows] * _sinh_ratio(t_col[rows], a) ** (N - 1.0)
+        weight = _distortion(K, N, t_col[rows], dist)
         u_side = pairwise_sums(weight[:, None, :] * monomials)
         bounds.extend((pairwise_sums(u_side * v_side) / den).tolist())
     return bounds
@@ -711,7 +704,7 @@ def _curved_report(sc, box, K, N, ts, quad):
         coefficients, interval = fit
         moments = _u_moment_table(sc, u_lo, u_hi, quad, coefficients.shape[1] - 1,
                                   interval)
-    ratios, v_side = _ratios(sc, box, ts, quad, moments[:, 0], v_side=True)
+    ratios, v_side = _ratios(sc, box, ts, quad, moments[:, 0])
     if fit is None:
         return ratios, _grid_distortion_bounds(sc, u_lo, u_hi, e, K, N, ts, quad, v_side)
     den = pairwise_sum(v_side * moments[:, 0])

@@ -30,6 +30,8 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 _Q2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
+_RANDOM_PAIRS = 64  # seeded unit pairs of validate_structure's Clifford check
+
 
 def hurwitz_radon(n: int) -> int:
     """Hurwitz-Radon function rho(n).
@@ -207,11 +209,6 @@ class GroupSpec:
         return self.rank + self.corank
 
     @property
-    def pair_count(self) -> int:
-        """Total number of 2x2 pairs d = sum of pair multiplicities."""
-        return sum(m for _, m in self.spectrum)
-
-    @property
     def alpha_max(self) -> float:
         return self.spectrum[-1][0]
 
@@ -294,9 +291,9 @@ class StructureConstants:
 
     The blocks (one per distinct non-zero entry of diag(S), increasing), ker
     S and the spec derive from diag(S) by exact equality.  Construction
-    checks the shapes and, exactly, that S is diagonal, non-negative and
-    non-zero with every non-zero entry of even multiplicity; the Clifford
-    relations are checked by :func:`structure_from_matrices`.
+    checks the shapes, that S and L are finite and, exactly, that S is
+    diagonal, non-negative and non-zero with every non-zero entry of even
+    multiplicity; the Clifford relations are checked by :func:`accept_matrices`.
     """
 
     S: np.ndarray
@@ -308,6 +305,8 @@ class StructureConstants:
         L.flags.writeable = False
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "L", L)
+        if not (np.isfinite(S).all() and np.isfinite(L).all()):
+            raise ValueError("S and L must have finite entries")
         # exact tests, where validate_structure has a tolerance: the blocks
         # index eigenspaces by coordinates
         diag = np.diagonal(S)
@@ -473,19 +472,20 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def validate_structure(S, L, tol: float = 1e-12, seed: int = DEFAULT_SEED,
-                       random_pairs: int = 64) -> ValidationReport:
+@np.errstate(over="ignore", invalid="ignore")
+def validate_structure(S, L, tol: float = 1e-12,
+                       seed: int = DEFAULT_SEED) -> ValidationReport:
     """Check user-supplied (S, L) against the structure relations.
 
     Verifies that S is symmetric, non-negative and non-zero, that each L^a is
     skew, that the family is linearly independent, and that the Clifford-type
-    relation holds on the standard basis of R^p plus ``random_pairs`` seeded
-    random unit pairs.  The checks run on 2^-a (S, L), with |S|_max 2^-a in
-    [1/2, 1), so no product leaves the float range, and residuals are
-    relative to |S|_max, the largest entry of S (squared for the Clifford
-    relations); at |S|_max = 1 they keep their bits.  A residual that is not
-    finite fails its check.  Returns a per-check report; nothing is raised
-    on mathematical failure (shape inconsistencies do raise).
+    relation holds on the standard basis of R^p plus _RANDOM_PAIRS unit
+    pairs drawn from ``seed``.  The checks run on 2^-a (S, L), with |S|_max
+    2^-a in [1/2, 1), so no product of finite entries leaves the float
+    range, and residuals are relative to |S|_max, the largest entry of S
+    (squared for the Clifford relations); at |S|_max = 1 they keep their
+    bits.  A residual or an entry that is not finite fails its checks.
+    Returns a per-check report and warns nothing; only shapes raise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -502,7 +502,9 @@ def validate_structure(S, L, tol: float = 1e-12, seed: int = DEFAULT_SEED,
         checks.append(CheckResult(name, residual <= tol, residual))
 
     check("S symmetric", np.max(np.abs(S - S.T), initial=0.0), unit)
-    evals = np.linalg.eigvalsh(0.5 * (S + S.T))
+    # LAPACK may not converge on a non-finite entry, whose checks fail instead
+    failed = np.full(1, np.nan)
+    evals = np.linalg.eigvalsh(0.5 * (S + S.T)) if np.isfinite(S).all() else failed
     # np.maximum keeps a NaN, and + 0.0 turns its -0.0 into 0.0
     check("S non-negative", np.maximum(0.0, -evals.min()) + 0.0, unit)
     top = float(evals.max()) / unit
@@ -514,7 +516,7 @@ def validate_structure(S, L, tol: float = 1e-12, seed: int = DEFAULT_SEED,
     check("skew-symmetry of L", np.max(np.abs(L + L.transpose(0, 2, 1))), unit)
 
     # linear independence of the family, scale-normalized
-    sv = np.linalg.svd(L.reshape(p, -1), compute_uv=False)
+    sv = np.linalg.svd(L.reshape(p, -1), compute_uv=False) if np.isfinite(L).all() else failed
     dep = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     checks.append(
         CheckResult("linear independence of L", dep > tol, 0.0 if dep > tol else 1.0,
@@ -530,34 +532,36 @@ def validate_structure(S, L, tol: float = 1e-12, seed: int = DEFAULT_SEED,
 
     rng = generator(seed, stream=1)
     res_rand = [0.0]
-    for _ in range(random_pairs):
+    for _ in range(_RANDOM_PAIRS):
         v = unit_vector(rng, p)
         w = unit_vector(rng, p)
         Lv = sum(c * a for c, a in zip(v, L))
         Lw = sum(c * a for c, a in zip(w, L))
         res_rand.append(np.max(np.abs(Lv @ Lw + Lw @ Lv + 2.0 * float(v @ w) * S2)))
-    check(f"Clifford relations on {random_pairs} random pairs", np.max(res_rand),
+    check(f"Clifford relations on {_RANDOM_PAIRS} random pairs", np.max(res_rand),
           unit * unit)
 
     return ValidationReport(checks=tuple(checks), tol=tol)
 
 
-def structure_from_matrices(S, L, tol: float = 1e-12) -> StructureConstants:
-    """Ingest explicit (S, L) matrices, deriving the spectral block data.
-
-    S may be given as a length-k diagonal or a k x k matrix.  The exact
-    checks of :class:`StructureConstants` come first (S exactly diagonal,
-    non-negative and non-zero, every non-zero value of even multiplicity),
-    then :func:`validate_structure` at ``tol``, relative to the largest
-    entry of S; either failure raises StructureInvalid.
+def accept_matrices(S, L, tol: float = 1e-12, seed: int = DEFAULT_SEED):
+    """(StructureConstants, ValidationReport) of explicit (S, L), S a k x k
+    matrix or its diagonal: the exact checks of :class:`StructureConstants`,
+    which raise, then one :func:`validate_structure` at ``tol`` and ``seed``,
+    whose report is returned passed or not.
     """
     S = np.asarray(S, dtype=np.float64)
-    if S.ndim == 1:
-        S = np.diag(S)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionMismatch(f"S must be square or a diagonal vector, got {S.shape}")
-    sc = StructureConstants(S, L)
-    report = validate_structure(sc.S, sc.L, tol=tol)
+    sc = StructureConstants(np.diag(S) if S.ndim == 1 else S, L)
+    return sc, validate_structure(sc.S, sc.L, tol=tol, seed=seed)
+
+
+def structure_from_matrices(S, L, tol: float = 1e-12,
+                            seed: int = DEFAULT_SEED) -> StructureConstants:
+    """Ingest explicit (S, L) matrices, deriving the spectral block data.
+
+    :func:`accept_matrices`, raising StructureInvalid when its report fails.
+    """
+    sc, report = accept_matrices(S, L, tol=tol, seed=seed)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
         raise StructureInvalid(

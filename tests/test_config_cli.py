@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import htcarnot.errors
+import htcarnot.structure
 from htcarnot import (
     ConfigError,
     Covector,
@@ -21,6 +22,7 @@ from htcarnot import (
     parse_config,
 )
 from htcarnot.geodesics import _LOG_ENDPOINT
+from htcarnot.randomness import DEFAULT_SEED
 
 from conftest import edge_log_targets
 
@@ -440,13 +442,17 @@ def _explicit(s_diag, pair, scale=1.0):
 
 
 # explicit configs that validate judged apart from every other command (an
-# odd multiplicity and a negative entry below the tolerance), and the group
-# of alpha = 1e160 and 1e-200 in explicit form, whose checks left the float range
+# odd multiplicity and a negative entry below the tolerance), the group of
+# alpha = 1e160 and 1e-200 in explicit form, whose checks left the float
+# range, and non-finite entries (NaN and Infinity in the JSON)
 EXPLICIT_EDGES = {
     "odd": _explicit([1.0, 1.000000000000001], (0, 1)),
     "negative": _explicit([0.0, 0.0, 1.0, 1.0, -1e-13], (2, 3)),
     "1e160": _explicit([1e160, 1e160], (0, 1), 1e160),
     "1e-200": _explicit([1e-200, 1e-200], (0, 1), 1e-200),
+    "nan-L": _explicit([1.0, 1.0], (0, 1), math.nan),
+    "inf-L": _explicit([1.0, 1.0], (0, 1), math.inf),
+    "inf-S": _explicit([1.0, math.inf], (0, 1)),
 }
 
 
@@ -519,6 +525,11 @@ EXTREME_ALPHA_CONFIGS = [("alpha=1e-200", "1,0.3", "1"),
     *[pytest.param(["validate", f"explicit-{name}"], 0, id=f"validate-explicit-{name}")
       for name in ("1e160", "1e-200")],
     pytest.param(["exp", "explicit-1e-200", "--u=1,0.3", "--v=1"], 0, id="exp-explicit-1e-200"),
+    # a NaN stopped the SVD ("SVD did not converge", exit 3); an Infinity
+    # exited 1, after RuntimeWarnings on exp
+    *[pytest.param([command, f"explicit-{name}", *extra], 3, id=f"{command}-explicit-{name}")
+      for name in ("nan-L", "inf-L", "inf-S")
+      for command, extra in (("validate", []), ("exp", ["--u=1,0.3", "--v=1"]))],
     # s_c u_c = 1e-350 underflowed to 0 and read as S u = 0
     pytest.param(["mcp", "alpha=1e-200", "--box=1e-150,1e-150,0.5;2e-150,2e-150,1"], 0,
                  id="mcp-tiny-u-box-alpha-1e-200"),
@@ -768,7 +779,21 @@ def test_sharpness_epsilon_validation():
     assert res.returncode == 3
 
 
-def test_config_seed_flows_into_log_command(tmp_path):
+def _spy_validation(monkeypatch):
+    # the seed of every validate_structure call; accept_matrices, the one
+    # acceptance of explicit (S, L), calls it by its name in structure
+    seeds = []
+    real = htcarnot.structure.validate_structure
+
+    def spy(*args, seed=DEFAULT_SEED, **kwargs):
+        seeds.append(seed)
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(htcarnot.structure, "validate_structure", spy)
+    return seeds
+
+
+def test_config_seed_flows_into_log_command(tmp_path, monkeypatch, capsys):
     # both runs agree; --seed override still deterministic
     cfgpath = write_config(tmp_path, {**EXPLICIT, "seed": 5})
     args = ("log", str(cfgpath), "--x", "0,0", "--z", "0.4")
@@ -778,6 +803,42 @@ def test_config_seed_flows_into_log_command(tmp_path):
     assert a.stdout == b.stdout
     c = run_cli(*args, "--seed", "11")
     assert c.returncode == 2
+    # the config's seed, and then --seed, reach the validation
+    seeds = _spy_validation(monkeypatch)
+    assert cli.main(list(args)) == 2
+    assert cli.main([*args, "--seed", "11"]) == 2
+    assert seeds == [5, 11]
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+@pytest.mark.parametrize("command, extra", [
+    ("validate", []),
+    ("exp", ["--u=1,0.3", "--v=1", "--steps", "2"]),
+    ("log", ["--x=0.5,0.1", "--z=0.2"]),
+    ("mcp", ["--t-grid", "0.5", "--quad", "4"]),
+    ("sharpness", []),
+])
+def test_explicit_config_is_validated_once_at_its_seed(tmp_path, monkeypatch, capsys,
+                                                        command, extra, seed):
+    # one acceptance in every command: the exact checks, then one validation
+    # at the config's seed, or at --seed where it is given
+    path = write_config(tmp_path, {**EXPLICIT, "seed": 5})
+    seeds = _spy_validation(monkeypatch)
+    override = [] if seed is None else ["--seed", str(seed)]
+    assert cli.main([command, str(path), *extra, *override]) == 0
+    assert seeds == [5 if seed is None else seed]
+
+
+@pytest.mark.parametrize("command, extra", [("validate", []), ("exp", ["--u=1,0", "--v=1"])])
+@pytest.mark.parametrize("name", ["odd", "nan-L", "inf-S"])
+def test_exact_checks_come_before_the_validation(tmp_path, monkeypatch, capsys,
+                                                 command, extra, name):
+    # a config the exact checks reject prints no report row and one message
+    path = write_config(tmp_path, EXPLICIT_EDGES[name])
+    seeds = _spy_validation(monkeypatch)
+    assert cli.main([command, str(path), *extra]) == (1 if name == "odd" else 3)
+    out, err = capsys.readouterr()
+    assert seeds == [] and out == "" and err.count("\n") == 1
 
 
 def test_version_flag():

@@ -220,6 +220,21 @@ def test_validate_structure_fails_a_non_finite_residual():
     assert _CLIFFORD_ROWS <= {c.name for c in report.failures()}
 
 
+@pytest.mark.parametrize("where", ["S", "L"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_structure_reports_non_finite_entries(where, bad):
+    # a NaN in L raised LinAlgError from the SVD, an Infinity warned; now
+    # the report fails, with no raise and no RuntimeWarning (no errstate here)
+    S, L = np.eye(2), J[None].copy()
+    (S if where == "S" else L[0])[0, 1 if where == "L" else 0] = bad
+    report = validate_structure(S, L)
+    assert not report.passed
+    assert ("S symmetric" if where == "S" else "skew-symmetry of L") in \
+        {c.name for c in report.failures()}
+    with pytest.raises(ValueError, match="finite"):
+        StructureConstants(S, L)
+
+
 def test_validate_structure_seeded_pairs_deterministic():
     a = validate_structure(np.eye(2), J[None], seed=5)
     b = validate_structure(np.eye(2), J[None], seed=5)

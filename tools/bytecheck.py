@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -88,13 +89,17 @@ def _wide_config(workdir: Path) -> str:
 
 
 # (name, S_diagonal, the pair of coordinates of L = scale J, scale): an odd
-# multiplicity, a negative entry within the tolerance, and the group of
-# alpha = 1e160 and of 1e-200 in explicit form
+# multiplicity, a negative entry within the tolerance, the group of
+# alpha = 1e160 and of 1e-200 in explicit form, and non-finite entries
+# (json writes NaN and Infinity, which its reader accepts)
 EXPLICIT_CONFIGS = [
     ("odd", [1.0, 1.000000000000001], (0, 1), 1.0),
     ("negative", [0.0, 0.0, 1.0, 1.0, -1e-13], (2, 3), 1.0),
     ("1e160", [1e160, 1e160], (0, 1), 1e160),
     ("1e-200", [1e-200, 1e-200], (0, 1), 1e-200),
+    ("nan-L", [1.0, 1.0], (0, 1), math.nan),
+    ("inf-L", [1.0, 1.0], (0, 1), math.inf),
+    ("inf-S", [1.0, math.inf], (0, 1), 1.0),
 ]
 
 
@@ -153,7 +158,8 @@ def commands(workdir: Path) -> list[list[str]]:
               *[["log", wide, f"--x={x}", "--z=1"] for x in ("1,0,0.5,0", "0,0,0,0")]]
     explicit = {name: _explicit_config(workdir, name, *rest) for name, *rest in EXPLICIT_CONFIGS}
     argvs += [["validate", path] for path in explicit.values()]
-    argvs.append(["exp", explicit["1e-200"], "--u=1,0.3", "--v=1", "--steps", "4", *csv])
+    argvs += [["exp", explicit[name], "--u=1,0.3", "--v=1", "--steps", "4", *csv]
+              for name in ("1e-200", "nan-L", "inf-L", "inf-S")]
     # s_c u_c underflowed to 0 at alpha = 1e-200 and read as S u = 0
     tiny_alpha = _config(workdir, 2, 1, "1e-200")
     argvs += [["exp", tiny_alpha, "--u=1e-200,0", "--v=1", "--steps", "1", *csv],
