@@ -14,9 +14,9 @@ from htcarnot import (
     GroupPoint,
     catalog_structure,
     distance,
-    distance_bound,
     exp_map,
     homothety,
+    identity,
     jacobian,
     log_map,
 )
@@ -48,15 +48,15 @@ d = distance(heis, GroupPoint([0, 0], [0]), pt)
 print(f"distance = |u| = {float(d):.12f}\n")
 
 # A point on the vertical axis lies past every covector the solver may use:
-# log_map refuses, and the cut-locus formula takes over.  For Heisenberg it
-# reduces to the classical vertical distance sqrt(4 pi z).
+# log_map refuses, and distance takes the cut-locus closed form.  For
+# Heisenberg it reduces to the classical vertical distance sqrt(4 pi z).
 target = GroupPoint([0.0, 0.0], [1.0])
 try:
     log_map(heis, target)
 except CutLocusTarget as exc:
     print("log_map:", exc)
-bound = distance_bound(heis, target)
-print(f"cut-locus formula:  {bound:.12f}")
+vertical = distance(heis, identity(heis), target).value
+print(f"cut-locus distance: {vertical:.12f}")
 print(f"sqrt(4 pi):         {np.sqrt(4 * np.pi):.12f}\n")
 
 # Geodesic homotheties contract any target toward a base point; at t = 0.5

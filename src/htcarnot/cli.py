@@ -240,7 +240,7 @@ def cmd_exp(args) -> int:
 def cmd_log(args) -> int:
     sc = _structure(args)
     # one solve serves both answers: log_map's covector, or on the cut
-    # locus the covector whose |u| distance_bound returns
+    # locus the covector whose |u| distance returns
     lam, cut = _invert(sc, GroupPoint(args.x, args.z))
     dist = math.hypot(*lam.u)
     if cut:

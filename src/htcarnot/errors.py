@@ -36,7 +36,7 @@ class CutLocusTarget(HTCarnotError):
 class NoCandidateFound(HTCarnotError):
     """No covector found reaches the target to tolerance.
 
-    Raised by the cut-locus closed form and by log_map's final endpoint check.
+    Raised by the endpoint check of log_map and distance, on either branch.
     """
 
 

@@ -17,13 +17,13 @@ part -sinc(theta/2)^2 / 2 of f; exp's vertical part, the vertical reach and
 the cut-locus coefficient take h3; log_map's F and F' take sinc(theta/2),
 h3 and tau; the Jacobian takes all three.
 
-One routine, :func:`_invert`, inverts exp for log_map, distance and
-distance_bound.  It carries every target, by one exact map, into the
-structure's unit frame (alpha_max in [1/2, 1)) at unit scale, solves
-F(r) = |z| for |v| = r there, or takes the cut locus |v| = R = 2 pi /
-alpha_max where no root lies below R, builds u from one kernel evaluation,
-checks the endpoint against one tolerance, maps the covector back, and
-says which of the two branches ran.
+One routine, :func:`_invert`, inverts exp for log_map and for distance,
+the one distance function, total on all pairs.  It carries every target,
+by one exact map, into the structure's unit frame (alpha_max in [1/2, 1))
+at unit scale, solves F(r) = |z| for |v| = r there, or takes the cut locus
+|v| = R = 2 pi / alpha_max where no root lies below R, builds u from one
+kernel evaluation, checks the endpoint against one tolerance, maps the
+covector back, and says which of the two branches ran.
 """
 
 from __future__ import annotations
@@ -258,11 +258,6 @@ def geodesic_sample(sc: StructureConstants, lam: Covector, ts) -> list[GroupPoin
     return [GroupPoint(xi, zi) for xi, zi in zip(x, z)]
 
 
-def hamiltonian(lam: Covector) -> float:
-    """The sub-Riemannian Hamiltonian |u|^2 / 2; geodesic speed is |u|."""
-    return 0.5 * float(lam.u @ lam.u)
-
-
 def _jacobian_factors(alphas, pair_mults, theta):
     """The factors of J at block angles theta (..., d), theta_j = alpha_j |v|.
 
@@ -401,9 +396,9 @@ def _momentum_at(sc, x, zn, vhat, r):
     # with sigma = sinc(theta_top/2) = |d x_top / d m|.  Its sine is taken
     # at the nearer of r and R - r (sin(alpha r/2) = sin(alpha (R - r)/2)),
     # which keeps it accurate at both ends and makes it vanish at R, where
-    # f(L_v) annihilates the top block and m = m1, the cut-locus formula of
-    # distance_bound.  Inside the domain a vanishing f(L_v)^{-1} x_top has
-    # no direction to scale, and u_top = 0.  The kernel runs once, at the
+    # f(L_v) annihilates the top block and m = m1, the cut-locus closed form
+    # of distance.  Inside the domain a vanishing f(L_v)^{-1} x_top has no
+    # direction to scale, and u_top = 0.  The kernel runs once, at the
     # angles r s_c off ker S: its factors give f(L_v)^{-1}, the lower reach
     # (r/2) sum_c s_c^2 h3(r s_c) u_c^2 and c, at the top block's angle
     # r alpha_max.  w is not scale-free: it weighs an error of one in x_top
@@ -481,7 +476,7 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     there maps back as (2^e u, 2^-a v).
 
     Raises CutLocusTarget when no root exists (the target is not in the
-    diffeomorphic image; :func:`distance_bound` gives its distance),
+    diffeomorphic image; :func:`distance` gives its distance),
     NoCandidateFound when the covector misses the unit-scale target by more
     than the endpoint tolerance 1e-10 max(1, |target|), IdentityTarget for
     the identity, and ValueError where |u| or v leaves the float range on
@@ -568,8 +563,8 @@ def _invert(sc, target: GroupPoint, exact_v: bool = True) -> tuple[Covector, boo
     # and the endpoint check, relative to the unit-scale target, is the same
     # at every scale.  With z = 0 the covector is the straight line (x, 0);
     # on the cut locus x is zeroed on the top eigenblock, which f(L_v)
-    # annihilates at |v| = R.  exact_v=False serves the distances, which
-    # take only |u|; it stays right where 2^-a v rounds.
+    # annihilates at |v| = R.  exact_v=False serves distance, which takes
+    # only |u|; it stays right where 2^-a v rounds.
     _check_point(sc, target)
     fr, a = sc.unit_frame, sc.unit_exponent
     e = _target_exponent(target, a)
@@ -623,42 +618,24 @@ def distance(sc: StructureConstants, p: GroupPoint, q: GroupPoint) -> DistanceRe
     """Carnot-Caratheodory distance d(p, q), total on all pairs.
 
     Left-invariant reduction to d(e, p^{-1} q), which is |u| of the
-    minimizing covector: the log on the diffeomorphic image and the closed
-    form of :func:`distance_bound` on the cut locus, both exact.
+    minimizing covector, exact on both branches.  On the diffeomorphic
+    image that is the covector of :func:`log_map`.  On the cut locus it has
+    v = R z/|z| with R = 2 pi / alpha_max, so its cut time is exactly 1:
+    u_0 = x_0 on ker S, u_j = f(L_v)^{-1} x_j below the top eigenblock, and
+    on the first axis of the top block
+
+        |u_top|^2 = (|z| - (R/2) sum_lower alpha_j^2 h3(alpha_j R) |u_j|^2)
+                    / ((R/2) alpha_max^2 h3(2 pi)),
+
+    which is sqrt(4 pi |z|) on Heisenberg.  Raises NoCandidateFound when
+    the covector misses the target by more than 1e-10 max(1, |target|) and
+    ValueError where |u| is beyond the float range.
     """
     try:
         lam, _ = _invert(sc, multiply(sc, inverse(p), q), exact_v=False)
     except IdentityTarget:
         return DistanceResult(0.0)
     return DistanceResult(math.hypot(*lam.u))
-
-
-def distance_bound(sc: StructureConstants, target: GroupPoint) -> float:
-    """Distance d(e, target) for cut-locus targets, in closed form.
-
-    The minimizing covector has v = R z/|z| with R = 2 pi / alpha_max, so
-    its cut time is exactly 1 and |u| is the distance, not only a bound.
-    On ker S u_0 = x_0; below the top eigenblock u_j = f(L_v)^{-1} x_j; and
-
-        |u_top|^2 = (|z| - (R/2) sum_lower alpha_j^2 h3(alpha_j R) |u_j|^2)
-                    / ((R/2) alpha_max^2 h3(2 pi))
-
-    with h3(theta) = (theta - sin theta)/theta^3; u_top lies on the first axis of the
-    top block.  On Heisenberg this is sqrt(4 pi |z|).  The target must lie
-    on the cut locus, where :func:`log_map` raises CutLocusTarget.  Raises
-    NoCandidateFound for a target in the diffeomorphic image (its distance
-    is |u| of log_map) or when the endpoint misses the target by more than
-    1e-10 max(1, |target|), ValueError for z = 0 (straight lines) and
-    IdentityTarget for the identity.  Every target is solved in the unit
-    frame at unit scale, as in :func:`log_map`.
-    """
-    lam, cut = _invert(sc, target, exact_v=False)
-    if cut:
-        return math.hypot(*lam.u)
-    if np.any(target.z):
-        raise NoCandidateFound("the target lies off the cut locus; log_map reaches it")
-    raise ValueError("targets with z = 0 are reached by straight lines, not the "
-                     "cut-locus formula")
 
 
 def homothety(sc: StructureConstants, x0: GroupPoint, y: GroupPoint, t: float) -> GroupPoint:

@@ -2,7 +2,9 @@
 
 Points live in R^k x R^p as (x, z).  The product is the step-2
 Baker-Campbell-Hausdorff formula; its quadratic correction is the unique one
-making the frame returned by :func:`frame_fields` left-invariant.
+making the horizontal frame X_i(p) = e_i - (1/2) sum_a (L^a x)_i e_{z_a}
+left-invariant.  That frame is the first k columns of
+:func:`translation_differential` at p.
 """
 
 from __future__ import annotations
@@ -76,18 +78,6 @@ def dilate(eps: float, p: GroupPoint) -> GroupPoint:
     if eps <= 0:
         raise ValueError(f"dilation factor must be positive, got {eps}")
     return GroupPoint(eps * p.x, eps * eps * p.z)
-
-
-def frame_fields(sc: StructureConstants, p: GroupPoint) -> list[np.ndarray]:
-    """The orthonormal left-invariant horizontal frame at p, as coordinate vectors.
-
-    X_i(p) = e_i - (1/2) sum_a (L^a x)_i e_{z_a}, so the list has k entries of
-    length n = k + p each.
-    """
-    _check_point(sc, p)
-    k = sc.rank
-    lx = sc.L @ p.x  # (p, k); row a holds L^a x
-    return list(np.hstack((np.eye(k), -0.5 * lx.T)))
 
 
 def translation_differential(sc: StructureConstants, p_left: GroupPoint) -> np.ndarray:

@@ -67,22 +67,27 @@ def distortion_coefficient(K: float, N: float, t: float, dist: float) -> float:
 
 def _distortion(K, N, t, dist):
     # D_t(dist) of distortion_coefficient, elementwise in t and dist
-    return t * _sinh_ratio(t, math.sqrt(-K) / math.sqrt(N - 1.0) * dist) ** (N - 1.0)
+    return t * _sinh_ratio(t, math.sqrt(-K) / math.sqrt(N - 1.0) * dist, N - 1.0)
 
 
-def _sinh_ratio(t, a):
-    # sinh(t a)/sinh(a), exp-scaled so large a never overflows; its limit t
-    # at a = 0
+def _sinh_ratio(t, a, power):
+    # (sinh(t a)/sinh(a))^power, with its limit t^power at a = 0.  For
+    # a > 30 it is exp(power log_ratio), from the exp-scaled
+    #   log_ratio = (t - 1) a + log(-expm1(-2 t a)) - log1p(-exp(-2 a)):
+    # large a never overflows, and the power comes before the exponential,
+    # so a ratio below the float range does not round to 0 ahead of a power
+    # near 0 (N near 1)
     t = np.asarray(t, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     big = a > 30.0
     zero = a == 0.0
     safe = np.where(big | zero, 1.0, a)
     wide = np.where(big, a, 31.0)
-    direct = np.sinh(t * safe) / np.sinh(safe)
-    scaled = (np.exp((t - 1.0) * wide) * (1.0 - np.exp(-2.0 * t * wide))
-              / (1.0 - np.exp(-2.0 * wide)))
-    out = np.where(big, scaled, np.where(zero, t, direct))
+    direct = (np.sinh(t * safe) / np.sinh(safe)) ** power
+    with np.errstate(divide="ignore"):  # log(0) = -inf at t = 0
+        log_ratio = ((t - 1.0) * wide + np.log(-np.expm1(-2.0 * t * wide))
+                     - np.log1p(-np.exp(-2.0 * wide)))
+    out = np.where(big, np.exp(power * log_ratio), np.where(zero, t ** power, direct))
     return float(out) if out.ndim == 0 else out
 
 
@@ -523,10 +528,16 @@ def sharpness_box(sc: StructureConstants, shrink: int = 0) -> CovectorBox:
     every alpha_max (the two agree wherever R >= 2), and at least
     delta 2^-10, which takes over from R = 1024 on and keeps the v corners
     apart from delta where 1e-3 falls below its rounding.  Both delta and
-    the half-widths halve with each shrink step.
+    the half-widths halve with each shrink step.  Raises ValueError where
+    R = 2 pi / alpha_max is beyond the float range (alpha_max below about
+    3.5e-308).
     """
+    radius = sc.first_conjugate_radius
+    if not math.isfinite(radius):
+        raise ValueError(f"R = 2 pi / alpha_max is beyond the float range at alpha_max = "
+                         f"{sc.alpha_max!r}, so the sharpness box (|v| = 1e-3 R) is not defined")
     factor = 0.5**shrink
-    delta = 1e-3 * sc.first_conjugate_radius * factor
+    delta = 1e-3 * radius * factor
     half = np.full(sc.dim, 1e-3 * factor)
     half[sc.rank:] = max(min(half[0], 0.5 * delta), delta * 2.0**-10)
     center = np.zeros(sc.dim)

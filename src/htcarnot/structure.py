@@ -51,11 +51,6 @@ def hurwitz_radon(n: int) -> int:
     return 8 * a + 2**b
 
 
-def max_skew_family_size(n: int) -> int:
-    """Largest m such that R^n carries m anticommuting orthogonal skew matrices."""
-    return hurwitz_radon(n) - 1
-
-
 def _cd_multiply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # Cayley-Dickson product on coefficient vectors whose length is a power
     # of two: (a,b)(c,d) = (ac - conj(d) b, d a + b conj(c)).
@@ -133,7 +128,7 @@ def anticommuting_family(dim: int, count: int) -> list[np.ndarray]:
         raise ValueError(f"dimension must be positive, got {dim}")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    cap = max_skew_family_size(dim)
+    cap = hurwitz_radon(dim) - 1
     if count > cap:
         raise SpecNotRealizable(
             f"R^{dim} carries at most {cap} anticommuting orthogonal skew "

@@ -501,6 +501,15 @@ EXTREME_ALPHA_CONFIGS = [("alpha=1e-200", "1,0.3", "1"),
     pytest.param(["sharpness", "alpha=1e4"], 0, id="sharpness-alpha-1e4"),
     pytest.param(["mcp", "alpha4x3=1e4", "--box", "sharpness", "--t-grid", "0.5"], 0,
                  id="mcp-sharpness-box-alpha-1e4"),
+    # R = 2 pi / alpha_max is beyond the float range: inf - inf in the box
+    # printed a RuntimeWarning and "box corners must be finite"
+    pytest.param(["sharpness", "alpha=5e-324"], 3, id="sharpness-alpha-5e-324"),
+    pytest.param(["mcp", "alpha=5e-324", "--box", "sharpness", "--t-grid", "0.5"], 3,
+                 id="mcp-sharpness-box-alpha-5e-324"),
+    # the distortion bound underflowed to 0 at N - 1 = 1e-7, and the
+    # certificate "held" with margin inf
+    pytest.param(["mcp", "--group", "heisenberg3", "--K", "-1", "--N", "1.0000001",
+                  "--t-grid", "0.5"], 2, id="mcp-N-near-one"),
     # the covector is representable but its length |u| is not
     pytest.param(["log", "--group", "heisenberg3", "--x=1.7e308,1e308", "--z=1e300"], 3,
                  id="log-length-overflow"),
@@ -562,7 +571,9 @@ def test_bad_and_extreme_inputs_exit_codes(tmp_path, argv, code):
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
     assert "nan" not in res.stdout
-    if res.returncode == 0 or res.stdout.startswith("cut locus target"):
+    # an answer on stdout (a result, a cut-locus target, an mcp verdict)
+    # comes with an empty stderr
+    if res.returncode == 0 or res.stdout.startswith("cut locus target") or "FAILED" in res.stdout:
         assert res.stderr == ""
     else:
         assert res.stderr.startswith(STDERR_PREFIX[res.returncode]), res.stderr

@@ -14,7 +14,6 @@ from htcarnot import (
     cut_time,
     exp_map,
     geodesic_sample,
-    hamiltonian,
     in_injectivity_domain,
     is_abnormal,
     l_of_v,
@@ -97,11 +96,6 @@ def test_covector_rejects_non_finite_components(bad):
         Covector([bad, 0.0], [1.0])
     with pytest.raises(ValueError, match="finite"):
         Covector([1.0, 0.0], [bad])
-
-
-def test_hamiltonian_is_half_speed_squared():
-    lam = Covector([3.0, 4.0], [9.9])
-    assert hamiltonian(lam) == 12.5
 
 
 def test_cut_time_values(heis):

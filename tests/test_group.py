@@ -4,7 +4,6 @@ import pytest
 from htcarnot import (
     GroupPoint,
     dilate,
-    frame_fields,
     identity,
     inverse,
     multiply,
@@ -78,20 +77,21 @@ def test_dilation_scaling_and_errors(group):
 
 
 def test_frame_fields_match_left_translation(group):
-    # X_i(p) must be the velocity of t -> p * (t e_i, 0) at t = 0; the product
-    # is affine in t so a central difference is exact to rounding
+    # X_i(p), column i of the translation differential, must be the velocity
+    # of t -> p * (t e_i, 0) at t = 0; the product is affine in t so a
+    # central difference is exact to rounding
     rng = np.random.default_rng(8)
     h = 1e-5
     for _ in range(5):
         p = random_point(group, rng)
-        fields = frame_fields(group, p)
+        frame = translation_differential(group, p)
         for i in range(group.rank):
             step = np.zeros(group.rank)
             step[i] = h
             fwd = multiply(group, p, GroupPoint(step, np.zeros(group.corank)))
             bwd = multiply(group, p, GroupPoint(-step, np.zeros(group.corank)))
             fd = (fwd.as_vector() - bwd.as_vector()) / (2.0 * h)
-            assert np.max(np.abs(fd - fields[i])) <= 1e-10
+            assert np.max(np.abs(fd - frame[:, i])) <= 1e-10
 
 
 def test_frame_brackets_recover_structure_matrices(group):
@@ -103,7 +103,7 @@ def test_frame_brackets_recover_structure_matrices(group):
     k = group.rank
 
     def field(i, at):
-        return frame_fields(group, GroupPoint(at[:k], at[k:]))[i]
+        return translation_differential(group, GroupPoint(at[:k], at[k:]))[:, i]
 
     base = p.as_vector()
     for i in range(k):

@@ -1,4 +1,4 @@
-"""Geodesic inversion: log_map, distance, distance_bound, homothety."""
+"""Geodesic inversion: log_map, distance, homothety."""
 
 import math
 
@@ -11,16 +11,15 @@ from htcarnot import (
     GroupPoint,
     HTCarnotError,
     IdentityTarget,
-    NoCandidateFound,
     catalog_names,
     catalog_structure,
     cut_time,
     distance,
-    distance_bound,
     exp_map,
     geodesic_sample,
     multiply,
     homothety,
+    identity,
     in_injectivity_domain,
     log_map,
 )
@@ -180,7 +179,7 @@ def test_heisenberg_vertical_distance_closed_form(heis):
 
 
 def test_distance_bound_frozen_value(heis):
-    got = distance_bound(heis, GroupPoint([0.0, 0.0], [1.0]))
+    got = distance(heis, identity(heis), GroupPoint([0.0, 0.0], [1.0])).value
     assert got == pytest.approx(3.5449077018110318, abs=1e-12)
     assert got == pytest.approx(np.sqrt(4.0 * np.pi), abs=1e-12)
 
@@ -199,7 +198,7 @@ def test_distance_bound_closed_form_values(name, x, z, expected):
     target = GroupPoint(x, z)
     with pytest.raises(CutLocusTarget):
         log_map(sc, target)
-    got = distance_bound(sc, target)
+    got = distance(sc, identity(sc), target).value
     assert got == pytest.approx(expected, abs=1e-12)
     lam, cut = _invert(sc, target)
     assert cut
@@ -207,15 +206,6 @@ def test_distance_bound_closed_form_values(name, x, z, expected):
     assert np.linalg.norm(lam.v) == pytest.approx(sc.first_conjugate_radius, rel=1e-15)
     gap = exp_map(sc, lam).as_vector() - target.as_vector()
     assert np.linalg.norm(gap) <= 1e-12
-
-
-def test_distance_bound_rejects_targets_off_the_formula(contact):
-    # x on the top eigenblock cannot be reached at |v| = R
-    with pytest.raises(NoCandidateFound):
-        distance_bound(contact, GroupPoint([0.0, 0.0, 0.1, 0.0], [1.0]))
-    # the lower blocks alone already overshoot |z|
-    with pytest.raises(NoCandidateFound):
-        distance_bound(contact, GroupPoint([3.0, 0.0, 0.0, 0.0], [0.01]))
 
 
 @pytest.mark.parametrize("z", [1e8, 1e9])
@@ -332,7 +322,7 @@ def test_distance_is_continuous_onto_the_vertical_axis(spec, x, z):
     # cut-locus formula
     sc = build_structure(spec)
     origin = GroupPoint(np.zeros(sc.rank), np.zeros(1))
-    on_axis = distance_bound(sc, GroupPoint(x, [z]))
+    on_axis = distance(sc, origin, GroupPoint(x, [z])).value
     for eps in NEAR_AXIS:
         off = np.array(x)
         off[sc.blocks[-1].indices[0]] = eps
@@ -394,7 +384,6 @@ def test_inversion_keeps_its_bits(name, x, z, cut, u, v, dist):
     origin = GroupPoint(np.zeros(sc.rank), np.zeros(sc.corank))
     assert distance(sc, origin, target).value == dist
     if cut:
-        assert distance_bound(sc, target) == dist
         with pytest.raises(CutLocusTarget):
             log_map(sc, target)
     else:
@@ -437,23 +426,6 @@ def test_maps_are_invariant_under_scaling_alpha_against_v(shape, j):
         for p in (origin, base):
             want = distance(unit, p, target).value
             assert distance(far, image(p), image(target)).value == want
-    assert distance_bound(far, image(cut_target)) == distance_bound(unit, cut_target)
-
-
-def test_distance_bound_rejects_interior_targets_near_the_axis(contact):
-    # x_top = 1e-9 puts the root inside the domain, within about 1e-9 of R;
-    # the cut-locus formula with x_top dropped missed by only 1e-9 there
-    target = GroupPoint([0.3, -0.2, 1e-9, 0.0], [5.0])
-    assert not _invert(contact, target)[1]
-    with pytest.raises(NoCandidateFound):
-        distance_bound(contact, target)
-
-
-def test_distance_bound_rejects_reachable_targets(heis):
-    with pytest.raises(ValueError):
-        distance_bound(heis, GroupPoint([1.0, 0.0], [0.0]))
-    with pytest.raises(IdentityTarget):
-        distance_bound(heis, GroupPoint([0.0, 0.0], [0.0]))
 
 
 def test_homothety_endpoints(group):
@@ -544,8 +516,9 @@ def test_exp_and_log_are_dilation_equivariant_out_of_range(group, e):
 def test_cut_locus_distance_at_extreme_scale(contact, e):
     # d(delta_eps p) = eps d(p) on the cut locus too
     target = GroupPoint([0.3, -0.2, 0.0, 0.0], [1.5])
-    assert distance_bound(contact, _dilate(target, e)) == math.ldexp(
-        distance_bound(contact, target), e)
+    origin = identity(contact)
+    assert distance(contact, origin, _dilate(target, e)).value == math.ldexp(
+        distance(contact, origin, target).value, e)
 
 
 def test_length_beyond_float_range_is_a_value_error(heis):

@@ -4,6 +4,7 @@ distortion coefficients, sharpness witnesses."""
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,13 +124,27 @@ def test_sinh_ratio_scaled_branch_matches_direct_formula():
     for a in (31.0, 50.0, 200.0):
         for t in (0.1, 0.5, 0.9):
             expected = math.sinh(t * a) / math.sinh(a)
-            assert _sinh_ratio(t, a) == pytest.approx(expected, rel=1e-13)
+            assert _sinh_ratio(t, a, 1.0) == pytest.approx(expected, rel=1e-13)
 
 
 def test_distortion_underflows_cleanly_at_extreme_distance():
     # true value is ~1e-435, below the smallest subnormal
     assert distortion_coefficient(-1.0, 5.0, 0.5, 1000.0) == 0.0
     assert distortion_coefficient(-1.0, 5.0, 0.5, 100.0) > 0.0
+
+
+@pytest.mark.parametrize("excess", [1e-7, 1e-9, 2.0**-52])
+@pytest.mark.parametrize("t, dist", [(0.5, 1.0), (0.1, 0.01), (0.9, 3.0)])
+def test_distortion_near_n_one_matches_mpmath(excess, t, dist):
+    # a = dist / sqrt(N - 1) is above 30 in every case, on the exp-scaled
+    # branch.  From about a = 745 / (1 - t) on, sinh(t a)/sinh(a) is below
+    # the float range: it rounded to 0 before the power N - 1 could bring it
+    # back near 1, and D_t read 0.0 instead of about t
+    N = 1.0 + excess
+    with mpmath.workdps(50):
+        a = mpmath.mpf(dist) / mpmath.sqrt(mpmath.mpf(N) - 1)
+        want = float(t * (mpmath.sinh(t * a) / mpmath.sinh(a)) ** (mpmath.mpf(N) - 1))
+    assert distortion_coefficient(-1.0, N, t, dist) == pytest.approx(want, rel=1e-14)
 
 
 # --- scalar inequality grids -------------------------------------------------
@@ -603,7 +618,7 @@ def _parent_grid_bounds(sc, box, K, N, ts, quad):
     den = pairwise_sum(v_side * [pairwise_sum(m) for m in monomials])
     a = math.sqrt(-K) / math.sqrt(N - 1.0) * np.linalg.norm(u_pts, axis=1)
     t_col = np.array(ts)[:, None]
-    weight = t_col * _sinh_ratio(t_col, a) ** (N - 1.0)
+    weight = t_col * _sinh_ratio(t_col, a, 1.0) ** (N - 1.0)
     u_side = np.stack([pairwise_sums(weight * m) for m in monomials], axis=-1)
     return tuple((pairwise_sums(u_side * v_side) / den).tolist())
 
@@ -655,7 +670,7 @@ def test_negative_curvature_bound_finite_when_a_node_has_u_zero(heis):
     rep = mcp_report(heis, -1.0, 5.0, box, [0.5], 5)
     assert 0.0 < rep.bounds[0] < 0.5**5
     assert rep.passed
-    assert _sinh_ratio(0.3, 0.0) == 0.3
+    assert _sinh_ratio(0.3, 0.0, 1.0) == 0.3
 
 
 @pytest.mark.parametrize("K,N", [(math.nan, 5.0), (-math.inf, 5.0), (math.inf, 5.0),
@@ -861,6 +876,17 @@ def test_sharpness_box_keeps_its_v_width_at_tiny_alpha(alpha):
     box = sharpness_box(sc)
     assert box.lower[2] == delta - delta * 2.0**-10
     assert box.upper[2] == delta + delta * 2.0**-10
+
+
+@pytest.mark.parametrize("alpha", [1e-308, 5e-324])
+def test_sharpness_box_is_refused_where_r_is_beyond_the_float_range(alpha):
+    # R = 2 pi / alpha overflows below alpha = 2 pi / DBL_MAX, about 3.5e-308;
+    # the box formed inf - inf, with a RuntimeWarning (an error here)
+    sc = one_block(2, 1, alpha)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        sharpness_box(sc)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        sharpness_witness(sc, 0.5)
 
 
 @pytest.mark.parametrize("alpha", [6.3e3, 1e4, 1e300])

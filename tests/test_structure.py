@@ -21,7 +21,6 @@ from htcarnot import (
     jacobian,
     l_of_v,
     log_map,
-    max_skew_family_size,
     structure_from_matrices,
     validate_structure,
 )
@@ -41,16 +40,11 @@ def test_hurwitz_radon_values():
         assert hurwitz_radon(n) == rho, n
 
 
-def test_max_family_size_is_rho_minus_one():
-    for n in (2, 4, 8, 16, 32, 12, 24):
-        assert max_skew_family_size(n) == hurwitz_radon(n) - 1
-
-
 # ------------------------------------------------------- exact construction
 
 @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64, 12, 24, 48])
 def test_family_relations_exact(dim):
-    count = max_skew_family_size(dim)
+    count = hurwitz_radon(dim) - 1
     fam = anticommuting_family(dim, count)
     assert len(fam) == count
     eye = np.eye(dim)

@@ -164,6 +164,13 @@ def commands(workdir: Path) -> list[list[str]]:
     tiny_alpha = _config(workdir, 2, 1, "1e-200")
     argvs += [["exp", tiny_alpha, "--u=1e-200,0", "--v=1", "--steps", "1", *csv],
               ["mcp", tiny_alpha, "--box=1e-150,1e-150,0.5;2e-150,2e-150,1", *csv]]
+    # R = 2 pi / alpha_max beyond the float range, where the sharpness box
+    # formed inf - inf
+    tiniest = _config(workdir, 2, 1, "5e-324")
+    argvs += [["sharpness", tiniest, *csv], ["mcp", tiniest, "--box", "sharpness", *csv]]
+    # N - 1 = 1e-7, where the distortion bound underflowed to 0
+    argvs.append(["mcp", "--group", "heisenberg3", "--K=-1", "--N=1.0000001",
+                  "--t-grid", "0.5", *csv])
     return argvs
 
 
