@@ -11,11 +11,14 @@ One kernel, :func:`_half_angle`, evaluates them: sinc(theta/2), h3(theta) =
 pair at theta/2 under one branch decision.  It switches to Taylor series
 below theta = 0.5, so all removable singularities at v = 0 evaluate to
 their exact limits and both sides of the switch are accurate to a few units
-in the last place.  Each caller derives its factors from the triple: exp
-and f(L_v)^-1 take sinc(theta) = sinc(theta/2) cos(theta/2) and the odd
-part -sinc(theta/2)^2 / 2 of f; exp's vertical part, the vertical reach and
-the cut-locus coefficient take h3; log_map's F and F' take sinc(theta/2),
-h3 and tau; the Jacobian takes all three.
+in the last place.  It takes an array or a Python float through the same
+formulas; a float is one branch decision on math's sin and cos, and gets
+the bits of its entry in an array.  Each caller derives its factors from
+the triple: exp and f(L_v)^-1 take sinc(theta) = sinc(theta/2) cos(theta/2)
+and the odd part -sinc(theta/2)^2 / 2 of f; exp's vertical part, the
+vertical reach and the cut-locus coefficient take h3; log_map's F and F'
+take sinc(theta/2), h3 and tau, on floats, one angle per eigenblock; the
+Jacobian takes all three.
 
 One routine, :func:`_invert`, inverts exp for log_map and for distance,
 the one distance function, total on all pairs.  It carries every target,
@@ -42,7 +45,7 @@ from .errors import (
     OutOfDomain,
     ZeroCovector,
 )
-from .group import GroupPoint, _check_point, inverse, multiply
+from .group import GroupPoint, _as_1d, _check_point, _point_rows, inverse, multiply
 from .structure import StructureConstants, l_of_v
 
 _SMALL_THETA = 0.5
@@ -65,11 +68,14 @@ _COT_SERIES = (1.0 / 3, 1.0 / 45, 2.0 / 945, 1.0 / 4725, 2.0 / 93555,
 
 def _switch(theta, direct: Callable, series: Callable):
     # Evaluate `direct` away from 0 and `series` below the cancellation
-    # threshold.  One count of the small angles picks the branch, so only a
-    # mixed array evaluates both, each on its own entries: `direct` never
-    # sees 0, and `series` never sees a large angle, where its powers would
-    # overflow.  Both may return a tuple of arrays, which a mixed array gets
-    # back stacked on a new first axis.
+    # threshold.  A Python float is one branch decision.  On an array one
+    # count of the small angles picks the branch, so only a mixed array
+    # evaluates both, each on its own entries: `direct` never sees 0, and
+    # `series` never sees a large angle, where its powers would overflow.
+    # Both may return a tuple of arrays, which a mixed array gets back
+    # stacked on a new first axis.
+    if type(theta) is float:
+        return series(theta) if abs(theta) < _SMALL_THETA else direct(theta)
     th = np.asarray(theta, dtype=np.float64)
     small = np.abs(th) < _SMALL_THETA
     count = np.count_nonzero(small)
@@ -87,9 +93,13 @@ def _switch(theta, direct: Callable, series: Callable):
 
 def _half_angle_direct(t):
     # sinc(t/2), h3(t) and tau(t) from one sin/cos pair at x = t/2, with
-    # t - sin t = 2 (x - sin x cos x)
+    # t - sin t = 2 (x - sin x cos x); a Python float takes math's sin and
+    # cos, which round as numpy's do
     x = 0.5 * t
-    sin, cos = np.sin(x), np.cos(x)
+    if type(x) is float:
+        sin, cos = math.sin(x), math.cos(x)
+    else:
+        sin, cos = np.sin(x), np.cos(x)
     quad = 4.0 * x * x
     return sin / x, (x - sin * cos) / (quad * x), (sin - x * cos) / (quad * sin)
 
@@ -100,7 +110,8 @@ def _half_angle_series(t):
 
 
 def _half_angle(theta):
-    """The kernel: sinc(theta/2), h3(theta) and tau(theta) at the angles theta.
+    """The kernel: sinc(theta/2), h3(theta) and tau(theta) at the angles theta,
+    an array or a Python float.
 
     h3(theta) = (theta - sin theta)/theta^3 with the limit 1/6 at 0, and
     tau(theta) = (sin x - x cos x) / (4 x^2 sin x) at x = theta/2, with the
@@ -149,8 +160,8 @@ class Covector:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=np.float64))
-        v = np.atleast_1d(np.asarray(self.v, dtype=np.float64))
+        u = _as_1d(self.u)
+        v = _as_1d(self.v)
         if not all(map(math.isfinite, u.tolist() + v.tolist())):
             raise ValueError(f"covector components must be finite, got u={u}, v={v}")
         u.flags.writeable = False
@@ -221,11 +232,11 @@ def _exp_rows(sc, u, v):
         rise = theta * h3
         if top >= _LARGE_ANGLE:
             rise = np.divide(1.0, theta, out=rise, where=theta >= _LARGE_ANGLE)
-        lu = np.sum(np.sum(vhat[:, :, None, None] * sc.L, axis=1) * u[:, None, :], axis=2)
+        lu = ((vhat[:, :, None, None] * sc.L).sum(axis=1) * u[:, None, :]).sum(axis=2)
         up = u[:, pos]
         x = u.copy()
         x[:, pos] = sinc * up - 0.5 * sinc_half * (sinc_half * vn) * lu[:, pos]
-        reach = np.sum(s * rise * (up * up), axis=1, keepdims=True)
+        reach = (s * rise * (up * up)).sum(axis=1, keepdims=True)
         x, z = np.ldexp(x, e), np.ldexp(0.5 * reach * vhat, 2 * e)
     return x + 0.0, z + 0.0
 
@@ -254,8 +265,7 @@ def geodesic_sample(sc: StructureConstants, lam: Covector, ts) -> list[GroupPoin
     if ts.size and (ts.min() < 0.0 or ts.max() > 1.0 or np.any(np.diff(ts) < 0)):
         raise ValueError("ts must be sorted and contained in [0, 1]")
     _check_covector(sc, lam)
-    x, z = _exp_rows(sc, np.multiply.outer(ts, lam.u), np.multiply.outer(ts, lam.v))
-    return [GroupPoint(xi, zi) for xi, zi in zip(x, z)]
+    return _point_rows(*_exp_rows(sc, np.multiply.outer(ts, lam.u), np.multiply.outer(ts, lam.v)))
 
 
 def _jacobian_factors(alphas, pair_mults, theta):
@@ -366,18 +376,32 @@ def _apply_f_inverse(sc, x, lx, sinc, sinc_half):
     return u
 
 
-def _reach(s, a, b, r, slope=False):
+def _block_weights(sc, x):
+    # The weights of _reach per eigenblock, in increasing alpha, as Python
+    # floats: the angles' rates alpha_j, a_j = alpha_j |x_j|^2 and
+    # b_j = alpha_j a_j
+    sq = x * x
+    alphas = [block.alpha for block in sc.blocks]
+    a = [alpha * float(sq[block.indices].sum()) for alpha, block in zip(alphas, sc.blocks)]
+    return alphas, a, [alpha * w for alpha, w in zip(alphas, a)]
+
+
+def _reach(alphas, a, b, r, slope=False):
     # The vertical reach F(r) of the target's horizontal part x, in closed
     # form: u = f(L_v)^{-1} x has |u_c|^2 = x_c^2 / sinc(theta_c/2)^2 on each
     # block (E^2 + theta^2 O^2 = sinc(theta/2)^2), so the term
     # (r/2) s_c^2 h3(theta_c) u_c^2 of exp's |z| is s_c x_c^2 phi(theta_c)
-    # (see _phi).  With the weights a = s x^2 and b = s^2 x^2 over the
-    # coordinates with s_c > 0
-    #     F(r) = sum_c a_c phi(theta_c),   F'(r) = sum_c b_c phi'(theta_c).
-    # With slope=True returns (F, F'), else F.
-    phi, slope_terms = _phi(r * s)
-    reach = float(a @ phi)
-    return (reach, float(b @ slope_terms)) if slope else reach
+    # (see _phi).  Every coordinate of eigenblock j has the angle alpha_j r,
+    # so with the weights of _block_weights
+    #     F(r) = sum_j a_j phi(alpha_j r),   F'(r) = sum_j b_j phi'(alpha_j r),
+    # summed in order over the blocks on Python floats, one scalar kernel
+    # evaluation per block.  With slope=True returns (F, F'), else F.
+    reach = rise = 0.0
+    for alpha, aj, bj in zip(alphas, a, b):
+        phi, dphi = _phi(alpha * r)
+        reach += aj * phi
+        rise += bj * dphi
+    return (reach, rise) if slope else reach
 
 
 def _momentum_at(sc, x, zn, vhat, r):
@@ -417,7 +441,7 @@ def _momentum_at(sc, x, zn, vhat, r):
     c = 0.5 * r * alpha**2 * float(h3[np.argmax(s)])
     up = u[pos]
     top2 = (zn - 0.5 * r * float((s * s * h3) @ (up * up))) / c
-    sigma = float(np.sin(0.5 * alpha * min(r, sc.first_conjugate_radius - r)))
+    sigma = math.sin(0.5 * alpha * min(r, sc.first_conjugate_radius - r))
     sigma /= 0.5 * alpha * r
     m = m0
     if top2 > 0.0 and (m0 > 0.0 or sigma == 0.0):
@@ -445,10 +469,11 @@ def log_map(sc: StructureConstants, target: GroupPoint) -> Covector:
     Otherwise the vertical direction is forced to z/|z| and the problem
     reduces to the scalar equation F(r) = |z| on (0, R), R = 2 pi / alpha_max,
     where F is the vertical reach of the horizontal data at radius r.  F and
-    F' are closed forms in the angles theta_c = s_c r:
+    F' are closed forms in the block angles alpha_j r, summed in order over
+    the eigenblocks x_j of x on Python floats:
 
-        F(r)  = sum_c s_c x_c^2 phi(theta_c)
-        F'(r) = sum_c s_c^2 x_c^2 phi'(theta_c)
+        F(r)  = sum_j alpha_j |x_j|^2 phi(alpha_j r)
+        F'(r) = sum_j alpha_j^2 |x_j|^2 phi'(alpha_j r)
 
     with phi(theta) = theta h3(theta) / (2 sinc(theta/2)^2) and
     phi'(theta) = tau(theta) / sinc(theta/2)^2 from the kernel; kernel
@@ -507,28 +532,26 @@ def _reach_root(sc, x, zn):
     # radius below R reaches |z|: F is strictly increasing on (0, R), so
     # that is one comparison of F at the last float below R.
     rmax = math.nextafter(sc.first_conjugate_radius, 0.0)
-    pos = sc.s_positive
-    s = sc.s_diag[pos]
-    a = s * x[pos] ** 2
-    b = s * a
-    phi, _ = _phi(rmax * s)
-    if float(a @ phi) < zn:
+    alphas, a, b = _block_weights(sc, x)
+    # F(rmax), summed as _reach sums it, with the blocks below the top one
+    # apart: near its pole at R, F is F_lower(R) + pi |x_top|^2 /
+    # (alpha_max (R - r)^2) to leading order, with pole = alpha_max
+    # |x_top|^2 the top block's weight and F_lower(R) the reach of the
+    # blocks below it
+    lower = _reach(alphas[:-1], a[:-1], b[:-1], rmax)
+    pole = a[-1]
+    if lower + pole * _phi(alphas[-1] * rmax)[0] < zn:
         return None
     lo, hi = 0.0, rmax
     root = 0.5 * rmax
-    # Near its pole at R, F is F_lower(R) + pi |x_top|^2 / (alpha_max
-    # (R - r)^2) to leading order, with pole = alpha_max |x_top|^2 the top
-    # block's weight and F_lower(R) the reach of the blocks below it
-    top = s == sc.alpha_max
-    pole = float(a[top].sum())
-    excess = zn - float(a[~top] @ phi[~top])
+    excess = zn - lower
     if pole > 0.0 and excess > 0.0:
         seed = rmax - math.sqrt(math.pi * pole / excess) / sc.alpha_max
         if lo < seed < hi:
             root = seed
     tol = _LOG_RESIDUAL * zn
     for _ in range(_NEWTON_ITERATIONS):
-        reach, slope = _reach(s, a, b, root, slope=True)
+        reach, slope = _reach(alphas, a, b, root, slope=True)
         gap = reach - zn
         if gap < 0.0:
             lo = root
@@ -574,7 +597,7 @@ def _invert(sc, target: GroupPoint, exact_v: bool = True) -> tuple[Covector, boo
     if zn == 0.0:
         if not np.any(x):
             raise IdentityTarget("log of the identity is not defined")
-        lam = Covector(x, np.zeros(sc.corank))
+        u, v = x, np.zeros(sc.corank)
     else:
         goal = np.concatenate((x, z))
         r = _reach_root(fr, x, zn)
@@ -583,25 +606,27 @@ def _invert(sc, target: GroupPoint, exact_v: bool = True) -> tuple[Covector, boo
             r = fr.first_conjugate_radius
             x[fr.blocks[-1].indices] = 0.0
         vhat = z / zn
-        lam = Covector(_momentum_at(fr, x, zn, vhat, r), r * vhat)
-        residual = math.hypot(*(exp_map(fr, lam).as_vector() - goal))
-        tol = _LOG_ENDPOINT * max(1.0, math.hypot(*goal))
+        u, v = _momentum_at(fr, x, zn, vhat, r), r * vhat
+        # the endpoint straight from the exp kernel, which exp_map wraps
+        end_x, end_z = _exp_rows(fr, u[None], v[None])
+        residual = math.hypot(*(np.concatenate((end_x[0], end_z[0])) - goal).tolist())
+        tol = _LOG_ENDPOINT * max(1.0, math.hypot(*goal.tolist()))
         if not residual <= tol:
             raise NoCandidateFound(
                 f"the covector misses the target by {residual:.3e} > {tol:.3e}; "
                 + ("on the cut locus x must vanish on the top eigenblock" if cut
                    else "this indicates a synthesis bug"))
     with np.errstate(over="ignore"):
-        u, v = np.ldexp(lam.u, e), np.ldexp(lam.v, -a)
+        u_out, v_out = np.ldexp(u, e), np.ldexp(v, -a)
     # the distance |u| must be a float too
-    if not math.isfinite(math.hypot(*u.tolist())):
+    if not math.isfinite(math.hypot(*u_out.tolist())):
         raise ValueError("the covector's length |u| is beyond the float range")
     # 2^-a v must keep v to within one rounding of |v|: below the normal
     # range it loses its digits, down to 0
-    if exact_v and not (math.hypot(*(np.ldexp(v, a) - lam.v).tolist())
-                        <= _EPS * math.hypot(*lam.v.tolist())):
+    if exact_v and not (math.hypot(*(np.ldexp(v_out, a) - v).tolist())
+                        <= _EPS * math.hypot(*v.tolist())):
         raise ValueError("the covector's vertical part v is beyond the float range")
-    return Covector(u, v), cut
+    return Covector(u_out, v_out), cut
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,20 @@ from .errors import DimensionMismatch
 from .structure import StructureConstants
 
 
+def _as_1d(w) -> np.ndarray:
+    # w as a float array, with a scalar as one entry
+    w = np.asarray(w, dtype=np.float64)
+    return w.reshape(1) if w.ndim == 0 else w
+
+
 @dataclass(frozen=True, eq=False)
 class GroupPoint:
     x: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=np.float64))
-        z = np.atleast_1d(np.asarray(self.z, dtype=np.float64))
+        x = _as_1d(self.x)
+        z = _as_1d(self.z)
         if not all(map(math.isfinite, x.tolist() + z.tolist())):
             raise ValueError(f"point coordinates must be finite, got x={x}, z={z}")
         x.flags.writeable = False
@@ -43,6 +49,25 @@ class GroupPoint:
 
     def __repr__(self):
         return f"GroupPoint(x={self.x.tolist()}, z={self.z.tolist()})"
+
+
+def _point_rows(x: np.ndarray, z: np.ndarray) -> list[GroupPoint]:
+    """The points (x_i, z_i) on the rows of x (m, k) and z (m, p), checked
+    once as a block: the ValueError of GroupPoint at the first row with a
+    non-finite entry, else read-only row views, with no check per row."""
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(z).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        GroupPoint(x[bad], z[bad])  # raises
+    x.flags.writeable = False
+    z.flags.writeable = False
+    points = []
+    for xi, zi in zip(x, z):
+        p = object.__new__(GroupPoint)
+        object.__setattr__(p, "x", xi)
+        object.__setattr__(p, "z", zi)
+        points.append(p)
+    return points
 
 
 def _check_point(sc: StructureConstants, p: GroupPoint):

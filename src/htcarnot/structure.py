@@ -439,7 +439,8 @@ def l_of_v(sc: StructureConstants, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (sc.corank,):
         raise DimensionMismatch(f"v has shape {v.shape}, expected ({sc.corank},)")
-    return np.tensordot(v, sc.L, axes=1)
+    k = sc.rank
+    return (v @ sc.L.reshape(sc.corank, k * k)).reshape(k, k)
 
 
 @dataclass(frozen=True)

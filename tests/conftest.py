@@ -11,6 +11,7 @@ from htcarnot import (
     exp_map,
     generator,
 )
+from htcarnot.geodesics import _block_weights
 from htcarnot.structure import GroupSpec, build_structure
 
 
@@ -84,12 +85,10 @@ def one_block(rank, corank, alpha):
 
 
 def reach_data(sc, x):
-    """The rates s_c and weights s_c x_c^2 and s_c^2 x_c^2 off ker S that
-    log_map passes to the closed-form vertical reach _reach."""
-    pos = sc.s_diag > 0.0
-    s = sc.s_diag[pos]
-    a = s * x[pos] ** 2
-    return s, a, s * a
+    """The per-block rates alpha_j and weights a_j = alpha_j |x_j|^2 and
+    b_j = alpha_j a_j that log_map passes to the closed-form vertical reach
+    _reach, in increasing alpha."""
+    return _block_weights(sc, x)
 
 
 def edge_log_targets():

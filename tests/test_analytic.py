@@ -298,8 +298,21 @@ def test_switch_matches_the_two_branch_form_bit_for_bit(direct, series, theta):
 
 
 def test_vector_and_scalar_agree():
-    # a mixed array gets the bits of each angle on its own
-    thetas = np.array([0.0, 1e-5, 0.3, 2.0])
+    # a Python float runs the same formulas on math's sin and cos, and gets
+    # the bits of its entry in a mixed array: seeded angles in [0, 2 pi),
+    # both sides of the switch at 0.5, the last float below 2 pi and
+    # subnormals
+    rng = np.random.default_rng(2301)
+    switch, top = _SMALL_THETA, np.nextafter(2.0 * np.pi, 0.0)
+    thetas = np.concatenate((
+        [0.0, 1e-5, 0.3, 2.0, np.nextafter(switch, 0.0), switch,
+         np.nextafter(switch, 1.0), top, np.nextafter(top, 0.0)],
+        [5e-324, 1e-310, np.nextafter(np.finfo(np.float64).tiny, 0.0)],
+        rng.uniform(0.0, 2.0 * np.pi, 2000),
+        rng.uniform(0.45, 0.55, 200),
+    ))
     vec = np.asarray(_half_angle(thetas))
-    for th, expect in zip(thetas, vec.T):
-        assert _half_angle(float(th)) == tuple(expect)
+    for th, expect in zip(thetas.tolist(), vec.T):
+        got = _half_angle(th)
+        assert all(type(g) is float for g in got)
+        assert np.array(got).tobytes() == expect.tobytes()

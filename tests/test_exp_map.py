@@ -90,6 +90,29 @@ def test_geodesic_sample_consistency(group):
         geodesic_sample(group, lam, [0.5, 1.2])
 
 
+def test_geodesic_sample_checks_its_rows_once(heis):
+    # the sample checks its endpoint block once and builds its points
+    # without a check per row: a row whose z overflows still raises the
+    # ValueError of GroupPoint at the first such row, and every point it
+    # returns is finite and read-only
+    lam = Covector([1e200, 0.0], [1.0])
+    with pytest.raises(ValueError) as sampled:
+        geodesic_sample(heis, lam, [0.0, 1e-200, 0.25, 0.5, 1.0])
+    with pytest.raises(ValueError) as single:
+        exp_map(heis, lam.scale(0.25))
+    assert str(sampled.value) == str(single.value)
+    assert "point coordinates must be finite" in str(sampled.value)
+    pts = geodesic_sample(heis, lam, [0.0, 1e-200, 1e-160])
+    assert len(pts) == 3
+    for pt in pts:
+        assert isinstance(pt, GroupPoint)
+        assert np.isfinite(pt.as_vector()).all()
+        for part in (pt.x, pt.z):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 1.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_covector_rejects_non_finite_components(bad):
     with pytest.raises(ValueError, match="finite"):

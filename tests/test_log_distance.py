@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -106,6 +107,25 @@ def test_edge_round_trip(group, s, monkeypatch):
     assert 1 <= sum(steps) <= 4
     residual = np.linalg.norm(exp_map(group, back).as_vector() - goal)
     assert residual <= ROUNDTRIP_TOL
+
+
+def test_log_map_makes_two_array_kernel_evaluations(group, monkeypatch):
+    # the root solve and the cut test run on Python floats; the kernel sees
+    # an array only for the momentum and for the endpoint check
+    targets = [exp_map(group, Covector(u, v)) for u, v in seeded_covectors(group, 8, stream=26)]
+    arrays, floats = [], []
+
+    def spy(theta):
+        (floats if type(theta) is float else arrays).append(theta)
+        return half_angle(theta)
+
+    half_angle = geodesics._half_angle
+    monkeypatch.setattr(geodesics, "_half_angle", spy)
+    for target in targets:
+        arrays.clear()
+        log_map(group, target)
+        assert len(arrays) <= 2
+    assert floats
 
 
 def test_round_trip_on_injectivity_domain(group):
@@ -345,7 +365,7 @@ def test_newton_takes_its_last_step(heis):
 PINNED_INVERSIONS = [
     ("heisenberg3", "0.5,0.1", "0.2", False, [-0.3146898032983036, -1.1243118644143315], [4.08220732213335], 1.1675216660785166),
     ("heisenberg3", "1.3,-0.7", "1.9", False, [-3.1372501720945163, -1.8551201988724606], [4.227276494495743], 3.6446960908382566),
-    ("heisenberg3", "0.5,0.1", "1e-180", False, [0.5, 0.1], [4.615384615384616e-179], 0.5099019513592785),
+    ("heisenberg3", "0.5,0.1", "1e-180", False, [0.5, 0.1], [4.6153846153846154e-179], 0.5099019513592785),
     ("contact12", "0.3,-0.2,0.5,0.1", "0.4", False, [-0.007725631310171556, -0.42853809236228085, -0.2598545012067076, -1.09282333200709], [2.0016392918572086], 1.202286063614275),
     ("contact12", "1,0,0,0", "0.05", False, [0.9705265100478989, -0.2964810508475168, 0.0, 0.0], [0.5929621016950336], 1.0148018132706516),
     ("contact12", "0,0,0.1,0", "1", False, [0.0, 0.0, -2.3879201338649647, -0.30159572811610297], [3.015957281161025], 2.4068906391723646),
@@ -372,6 +392,18 @@ PINNED_INVERSIONS = [
     ("heisenberg3", "1,0", "1e308", True, [3.5449077018110323e+154, 0.0], [6.283185307179586], 3.5449077018110323e+154),
     ("heisenberg3", "1e155,0", "1e155", False, [1e+155, -6.000000000000002], [1.2000000000000003e-154], 1e+155),
 ]
+
+
+def test_root_near_zero_is_correctly_rounded(heis):
+    # at |z| = 1e-180 the root r lies so near 0 that F(r) = |x|^2 r / 12 to
+    # a relative 1e-357 (alpha = 1), so the root is 12 |z| / |x|^2, and v,
+    # which is r here, must be that quotient of the inputs correctly rounded
+    target = GroupPoint([0.5, 0.1], [1e-180])
+    v = log_map(heis, target).v[0]
+    with mpmath.workdps(50):
+        x0, x1, zn = (mpmath.mpf(c) for c in (0.5, 0.1, 1e-180))
+        root = 12 * zn / (x0 * x0 + x1 * x1)
+        assert abs(mpmath.mpf(v) - root) <= 0.5 * math.ulp(v)
 
 
 @pytest.mark.parametrize("name, x, z, cut, u, v, dist", PINNED_INVERSIONS)

@@ -80,10 +80,11 @@ def test_cut_decision_agrees_with_a_dense_evaluation(data):
     x = data.draw(horizontal_parts(sc))
     if data.draw(st.booleans()):
         x[sc.blocks[-1].indices] = 0.0
-    s, a, b = reach_data(sc, x)
+    alphas, a, b = reach_data(sc, x)
     rmax = np.nextafter(sc.first_conjugate_radius, 0.0)
     rs = np.linspace(0.0, rmax, 4097)[1:-1]
-    dense = np.append(_phi(np.multiply.outer(rs, s))[0] @ a, _reach(s, a, b, rmax))
+    dense = np.append((_phi(np.multiply.outer(rs, alphas))[0] * a).sum(axis=-1),
+                      _reach(alphas, a, b, rmax))
     # |z| anywhere on the grid, and often at its last few radii, next to R
     k = data.draw(st.one_of(st.integers(0, dense.size - 1), st.integers(-4, -1)))
     zn = dense[k] * data.draw(st.floats(0.5, 2.0))

@@ -333,3 +333,19 @@ def test_unit_frame_scales_s_and_l_by_the_exponent_of_alpha_max(spectrum):
         [b.indices.tolist() for b in sc.blocks[len(spectrum) - len(kept):]]
     assert sc.alpha_max == sc.spec.alpha_max and fr.unit_frame is fr
     assert 2.0 * np.pi < fr.first_conjugate_radius <= 4.0 * np.pi
+
+
+@pytest.mark.parametrize("spec", [GroupSpec(rank=4, corank=3, spectrum=((1.0, 2),)),
+                                  GroupSpec(rank=8, corank=7, spectrum=((1.0, 4),)),
+                                  GroupSpec(rank=6, corank=1, spectrum=((0.7, 1), (1.3, 2)))],
+                         ids=["htype4x3", "octonionic", "two-block"])
+def test_l_of_v_is_the_contraction_over_the_family(spec):
+    # L_v as one matrix-vector product on the flattened family keeps the
+    # bits of the tensor contraction sum_a v_a L^a
+    sc = build_structure(spec)
+    rng = np.random.default_rng(2302)
+    for _ in range(200):
+        v = rng.standard_normal(sc.corank)
+        assert l_of_v(sc, v).tobytes() == np.tensordot(v, sc.L, axes=1).tobytes()
+    with pytest.raises(DimensionMismatch):
+        l_of_v(sc, np.zeros(sc.corank + 1))
