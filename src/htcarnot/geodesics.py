@@ -232,13 +232,23 @@ def _exp_rows(sc, u, v):
         rise = theta * h3
         if top >= _LARGE_ANGLE:
             rise = np.divide(1.0, theta, out=rise, where=theta >= _LARGE_ANGLE)
-        lu = ((vhat[:, :, None, None] * sc.L).sum(axis=1) * u[:, None, :]).sum(axis=2)
+        lu = (_l_rows(sc.L, vhat) * u[:, None, :]).sum(axis=2)
         up = u[:, pos]
         x = u.copy()
         x[:, pos] = sinc * up - 0.5 * sinc_half * (sinc_half * vn) * lu[:, pos]
         reach = (s * rise * (up * up)).sum(axis=1, keepdims=True)
         x, z = np.ldexp(x, e), np.ldexp(0.5 * reach * vhat, 2 * e)
     return x + 0.0, z + 0.0
+
+
+def _l_rows(L, vhat):
+    # L_vhat = sum_a vhat_a L^a for each row of vhat (m, p), as (m, k, k),
+    # added to 0.0 one family member at a time in order of a: the bits of
+    # numpy's sum over a of the (m, p, k, k) products, without forming them
+    lv = 0.0
+    for col, la in zip(vhat.T[:, :, None, None], L):
+        lv += col * la
+    return lv
 
 
 def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
@@ -341,12 +351,12 @@ def cut_time(sc: StructureConstants, lam: Covector) -> float:
     vn = math.hypot(*lam.v)
     if vn == 0.0 or not sc.su_nonzero(lam.u):
         return float("inf")
-    # the mantissas of alpha_max and |v| lie in [1/2, 1), so only the exact
-    # scaling by 2^-(a+e) can leave the float range
-    alpha, a = math.frexp(sc.alpha_max)
+    # the unit frame's alpha_max and the mantissa of |v| lie in [1/2, 1), so
+    # only the exact scaling by 2^-(a+e) can leave the float range
     m, e = math.frexp(vn)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(2.0 * np.pi / (alpha * m), -a - e))
+        return float(np.ldexp(2.0 * np.pi / (sc.unit_frame.alpha_max * m),
+                              -sc.unit_exponent - e))
 
 
 def in_injectivity_domain(sc: StructureConstants, lam: Covector) -> bool:
@@ -386,7 +396,7 @@ def _block_weights(sc, x):
     return alphas, a, [alpha * w for alpha, w in zip(alphas, a)]
 
 
-def _reach(alphas, a, b, r, slope=False):
+def _reach(alphas, a, b, r):
     # The vertical reach F(r) of the target's horizontal part x, in closed
     # form: u = f(L_v)^{-1} x has |u_c|^2 = x_c^2 / sinc(theta_c/2)^2 on each
     # block (E^2 + theta^2 O^2 = sinc(theta/2)^2), so the term
@@ -395,13 +405,13 @@ def _reach(alphas, a, b, r, slope=False):
     # so with the weights of _block_weights
     #     F(r) = sum_j a_j phi(alpha_j r),   F'(r) = sum_j b_j phi'(alpha_j r),
     # summed in order over the blocks on Python floats, one scalar kernel
-    # evaluation per block.  With slope=True returns (F, F'), else F.
+    # evaluation per block.  Returns (F, F').
     reach = rise = 0.0
     for alpha, aj, bj in zip(alphas, a, b):
         phi, dphi = _phi(alpha * r)
         reach += aj * phi
         rise += bj * dphi
-    return (reach, rise) if slope else reach
+    return reach, rise
 
 
 def _momentum_at(sc, x, zn, vhat, r):
@@ -538,7 +548,7 @@ def _reach_root(sc, x, zn):
     # (alpha_max (R - r)^2) to leading order, with pole = alpha_max
     # |x_top|^2 the top block's weight and F_lower(R) the reach of the
     # blocks below it
-    lower = _reach(alphas[:-1], a[:-1], b[:-1], rmax)
+    lower, _ = _reach(alphas[:-1], a[:-1], b[:-1], rmax)
     pole = a[-1]
     if lower + pole * _phi(alphas[-1] * rmax)[0] < zn:
         return None
@@ -551,7 +561,7 @@ def _reach_root(sc, x, zn):
             root = seed
     tol = _LOG_RESIDUAL * zn
     for _ in range(_NEWTON_ITERATIONS):
-        reach, slope = _reach(alphas, a, b, root, slope=True)
+        reach, slope = _reach(alphas, a, b, root)
         gap = reach - zn
         if gap < 0.0:
             lo = root

@@ -26,7 +26,7 @@ from .quadrature import (
     pairwise_sum,
     pairwise_sums,
     require_node_budget,
-    tensor_grid,
+    tensor_squares,
 )
 from .randomness import DEFAULT_SEED, generator
 from .structure import GroupSpec, StructureConstants
@@ -188,7 +188,7 @@ def check_jacobian_contraction(sc: StructureConstants, samples: int, t_grid,
     # default box lies inside the injectivity domain, so no row leaves it
     scales = np.array([1.0, *ts])[:, None]
     t_pow = np.array([t ** (2 * p) for t in ts])
-    # J in the unit frame, with v at unit scale as in _ratios:
+    # J in the unit frame, with v at unit scale as in _v_table:
     # the alphas times 2^-a and |v| times 2^a keep every angle alpha |v| bit
     # for bit, and J scales by 4^(-a p) in both terms of each margin.  Its
     # kernel coordinates contribute the factor 1 and the weights 0, and
@@ -421,39 +421,27 @@ def _require_quadrature(sc, box: CovectorBox, quad: int):
     _require_box_in_domain(sc, box)
 
 
-def _ratios(sc, box: CovectorBox, ts, quad: int, moments):
-    """Ratios t^n * integral J(t u, t v) / integral J(u, v) over the box by
-    factored tensor Gauss-Legendre, and the v-side of the K < 0 average.
+def _v_table(sc, box: CovectorBox, scales, quad: int):
+    """V[s, delta] = sum_v w pref c_delta over the quad^p v-grid, per scale s.
 
-    The integrand is polynomial in u (degree 2p), so the u-integral reduces
-    to the exact moments sum_u w q^delta, one per delta of _deltas; only the
-    v-grid (quad^p nodes) is enumerated, once for all t, on the v-corners
-    times 2^-e (_unit_corners) with J at the unit frame's |v|, the true |v|
-    times 2^a, and on its blocks, as the moments.  Identical quadrature sum
-    to the full tensor rule, reorganized, up to a power of two common to
-    every t.  The v-side V_delta = sum_v w pref c_delta is taken at t = 1,
-    up to that power of two.
+    J(s u, s v) / s^(2p) = pref sum_delta c_delta q(u)^delta at angles
+    s alpha_j |v| (_jacobian_expansion), so its box integral is
+    sum_delta V[s, delta] M_delta with the u-moments M of _u_moment_table.
+    The v-grid is taken on the v-corners times 2^-e (_unit_corners), with J
+    at the unit frame's |v|, the true |v| times 2^a: the table is the
+    tensor Gauss-Legendre sum up to a power of two common to every entry.
     """
-    p = sc.corank
     v_lo, v_hi, e = _unit_corners(box.lower[sc.rank:], box.upper[sc.rank:])
-    pts, wts = tensor_grid(v_lo, v_hi, quad)
-    rays = np.multiply.outer(_true_norm(np.linalg.norm(pts, axis=1), e + sc.unit_exponent),
+    wts, (sq,) = tensor_squares(v_lo, v_hi, quad, [range(sc.corank)])
+    rays = np.multiply.outer(_true_norm(np.sqrt(sq), e + sc.unit_exponent),
                              sc.unit_frame.block_alphas())
-    scales = np.array([1.0, *ts])
-    totals = []
-    v_side = None
+    scales = np.asarray(scales)
+    table = []
     for rows in _row_batches(len(scales), len(wts)):
         pref, coeffs = _jacobian_expansion(sc, np.multiply.outer(scales[rows], rays))
-        vals = np.zeros_like(pref)
-        for c, moment in zip(coeffs, moments):
-            vals += c * moment
-        totals.extend(pairwise_sums(wts * pref * vals).tolist())
-        if v_side is None:
-            # one product per coefficient, which numpy forms in place, so
-            # this holds no more grids than the totals above
-            v_side = np.array([pairwise_sum(wts * pref[0] * c[0]) for c in coeffs])
-    den, *nums = totals
-    return [t**sc.dim * (t ** (2 * p) * num) / den for t, num in zip(ts, nums)], v_side
+        weighted = wts * pref
+        table.append(np.stack([pairwise_sums(weighted * c) for c in coeffs], axis=-1))
+    return np.concatenate(table)
 
 
 def _unit_corners(lo, hi):
@@ -474,12 +462,6 @@ def _true_norm(norm, e):
         return np.ldexp(norm, e)
 
 
-def _contraction_ratios(sc, box: CovectorBox, ts, quad: int) -> list[float]:
-    _require_quadrature(sc, box, quad)
-    u_lo, u_hi, _ = _unit_corners(box.lower[:sc.rank], box.upper[:sc.rank])
-    return _ratios(sc, box, ts, quad, _u_moment_table(sc, u_lo, u_hi, quad)[:, 0])[0]
-
-
 def contraction_ratio(sc: StructureConstants, box: CovectorBox, t: float,
                       quad_points_per_dim: int) -> float:
     """Measure ratio mu(Omega_t)/mu(Omega) for the homothety image of exp(box).
@@ -491,7 +473,7 @@ def contraction_ratio(sc: StructureConstants, box: CovectorBox, t: float,
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
-    return _contraction_ratios(sc, box, [t], quad_points_per_dim)[0]
+    return _contraction(sc, box, [t], quad_points_per_dim)[0][0]
 
 
 @dataclass(frozen=True)
@@ -562,7 +544,7 @@ def sharpness_witness(sc: StructureConstants, epsilon: float
     n_target = geodesic_dimension(sc.spec) - epsilon
     for attempt in range(_SHARPNESS_SHRINKS + 1):
         box = sharpness_box(sc, shrink=attempt)
-        ratios = tuple(_contraction_ratios(sc, box, _SHARPNESS_T_GRID, _SHARPNESS_QUAD))
+        ratios = tuple(_contraction(sc, box, _SHARPNESS_T_GRID, _SHARPNESS_QUAD)[0])
         thresholds = tuple(t**n_target for t in _SHARPNESS_T_GRID)
         report = SharpnessReport(
             epsilon=epsilon,
@@ -675,52 +657,54 @@ def _distortion_fit(u_lo, u_hi, K, N, ts, e=0):
     return coefficients, (centers, h)
 
 
-def _grid_distortion_bounds(sc, u_lo, u_hi, e, K, N, ts, quad, v_side):
-    # The distortion average summed over the quad^k u-grid:
-    #   U_delta(t) = sum_u w q^delta D_t(|u|)
-    # and bound_t = sum V U(t) / sum V U(1), where D_1 = 1; the corners come
-    # times 2^-e from _unit_corners.
-    u_pts, u_wts = tensor_grid(u_lo, u_hi, quad)
+def _grid_distortion_sums(sc, u_lo, u_hi, e, K, N, ts, quad):
+    # U_delta(t) = sum_u w q^delta D_t(|u|) over the quad^k u-grid, per t;
+    # the corners come times 2^-e from _unit_corners
     blocks = sc.unit_frame.blocks
-    q = np.stack([np.sum(u_pts[:, b.indices] ** 2, axis=1) for b in blocks], axis=-1)
-    monomials = np.stack([u_wts * np.prod(q ** np.array(delta), axis=-1)
+    wts, (sq, *q) = tensor_squares(u_lo, u_hi, quad,
+                                   [range(sc.rank), *(b.indices for b in blocks)])
+    q = np.stack(q, axis=-1)
+    monomials = np.stack([wts * np.prod(q ** np.array(delta), axis=-1)
                           for delta in _deltas(sc.corank, len(blocks))])
-    den = pairwise_sum(v_side * pairwise_sums(monomials))
-    dist = _true_norm(np.linalg.norm(u_pts, axis=1), e)
+    dist = _true_norm(np.sqrt(sq), e)
     t_col = np.array(ts)[:, None]
-    bounds = []
+    sums = []
     for rows in _row_batches(len(ts), monomials.size):
         weight = _distortion(K, N, t_col[rows], dist)
-        u_side = pairwise_sums(weight[:, None, :] * monomials)
-        bounds.extend((pairwise_sums(u_side * v_side) / den).tolist())
-    return bounds
+        sums.append(pairwise_sums(weight[:, None, :] * monomials))
+    return np.concatenate(sums)
 
 
-def _curved_report(sc, box, K, N, ts, quad):
-    # Ratios and the J-weighted box averages of the distortion coefficient
-    # D_t(|u|), per t.  J = pref(|v|) sum_delta c_delta(|v|) q(u)^delta and
-    # D_t depends on u only, so the tensor Gauss-Legendre sum factors into
-    #   V_delta = sum_v w pref c_delta        over the ratios' quad^p nodes,
-    #   U_delta(t) = sum_u w q^delta D_t(|u|)
-    # and bound_t = sum V U(t) / sum V U(1).  With D_t = sum_j a_j y^j to
-    # within _CHEB_TOL, U_delta(t) = sum_j a_j M[delta, j] from the moment
-    # table; elsewhere the u-grid (quad^k nodes) is summed.
+def _contraction(sc, box: CovectorBox, ts, quad: int, K=0.0, N=None):
+    """(ratios, bounds) per t, bounds None at K = 0.
+
+    J = pref(|v|) sum_delta c_delta(|v|) q(u)^delta, so the box integral of
+    J(s u, s v) is sum_delta V[s, delta] M_delta, with V from _v_table and
+    the u-moments M = _u_moment_table(...)[:, 0]; each number shares the
+    integral at scale 1, den = sum V[1] M:
+        ratio_t = t^n t^(2p) sum V[t] M / den,   bound_t = sum V[1] U(t) / den,
+    U_delta(t) = sum_u w q^delta D_t(|u|): sum_j a_j M[delta, j] where D_t =
+    sum_j a_j y^j to within _CHEB_TOL, else summed over the quad^k u-grid.
+    """
     _require_quadrature(sc, box, quad)
     u_lo, u_hi, e = _unit_corners(box.lower[:sc.rank], box.upper[:sc.rank])
-    fit = _distortion_fit(u_lo, u_hi, K, N, ts, e)
+    fit = None if K == 0.0 else _distortion_fit(u_lo, u_hi, K, N, ts, e)
     if fit is None:
-        require_node_budget(quad, sc.rank)
+        u_side = None if K == 0.0 else _grid_distortion_sums(sc, u_lo, u_hi, e, K, N, ts, quad)
         moments = _u_moment_table(sc, u_lo, u_hi, quad)
     else:
         coefficients, interval = fit
         moments = _u_moment_table(sc, u_lo, u_hi, quad, coefficients.shape[1] - 1,
                                   interval)
-    ratios, v_side = _ratios(sc, box, ts, quad, moments[:, 0])
-    if fit is None:
-        return ratios, _grid_distortion_bounds(sc, u_lo, u_hi, e, K, N, ts, quad, v_side)
-    den = pairwise_sum(v_side * moments[:, 0])
-    u_side = pairwise_sums(coefficients[:, None, :] * moments)
-    return ratios, (pairwise_sums(u_side * v_side) / den).tolist()
+        u_side = pairwise_sums(coefficients[:, None, :] * moments)
+    table = _v_table(sc, box, [1.0, *ts], quad)
+    den = pairwise_sum(table[0] * moments[:, 0])
+    p = sc.corank
+    nums = pairwise_sums(table[1:] * moments[:, 0]).tolist()
+    ratios = [t**sc.dim * (t ** (2 * p) * num) / den for t, num in zip(ts, nums)]
+    if u_side is None:
+        return ratios, None
+    return ratios, (pairwise_sums(u_side * table[0]) / den).tolist()
 
 
 def _require_curvature(K, N):
@@ -741,23 +725,24 @@ def mcp_report(sc: StructureConstants, K: float, N: float, box: CovectorBox,
     The left side is the quadrature contraction ratio; the right side is the
     model bound: exactly t^N for K = 0, and for K < 0 the J-weighted box
     average of the distortion coefficient at distance |u|.  A t passes when
-    ratio >= bound * (1 - 1e-9).  K and N must be finite.  For K < 0 the
-    average is a Chebyshev interpolant of the coefficient in |u|^2, summed
-    exactly through per-coordinate moments, wherever its error bound is at
-    most 1e-13 relative; elsewhere it is summed over the quad^k u-grid.
-    Each grid holds at most NODE_BUDGET nodes: quad^p for the ratios and,
-    where it is built, quad^k for the u-grid.  ``workers`` is accepted for
-    compatibility and has no effect.
+    ratio >= bound * (1 - 1e-9).  K and N must be finite.  The box integral
+    of J is taken once, as a table of its v-part per scale on the quad^p
+    v-grid times exact u-moments, and the ratios and the K < 0 averages
+    share it and its one denominator, the integral at scale 1; so the
+    ratios do not depend on K.  For K < 0 the average is a Chebyshev
+    interpolant of the coefficient in |u|^2, summed exactly through the
+    moments, wherever its error bound is at most 1e-13 relative; elsewhere
+    its u-part is summed over the quad^k u-grid.  Each grid holds at most
+    NODE_BUDGET nodes.  ``workers`` is accepted for compatibility and has
+    no effect.
     """
     _require_curvature(K, N)
     ts = [float(t) for t in t_grid]
     if not ts or any(not 0.0 < t < 1.0 for t in ts):
         raise ValueError("t grid must be non-empty and lie in (0, 1)")
-    if K == 0.0:
-        ratios = _contraction_ratios(sc, box, ts, quad)
+    ratios, bounds = _contraction(sc, box, ts, quad, K, N)
+    if bounds is None:
         bounds = [t**N for t in ts]
-    else:
-        ratios, bounds = _curved_report(sc, box, K, N, ts, quad)
     return ContractionReport(
         group=repr(sc.spec),
         curvature=float(K),

@@ -80,18 +80,26 @@ def mapped_rule(lo: float, hi: float, npts: int) -> tuple[np.ndarray, np.ndarray
     return lo + half * (x + 1.0), half * w
 
 
-def tensor_grid(lower, upper, npts: int):
-    """All npts^dim points and weights of the Gauss-Legendre rule on [lower, upper].
+def tensor_squares(lower, upper, npts: int, groups):
+    """Weights of the npts^dim Gauss-Legendre rule on [lower, upper], and for
+    each group of axes the sum of squared nodes over that group, per node.
 
-    The grid is ordered row-major (last axis fastest); each weight is the
-    product of its axis weights, multiplied in from the last axis to the first.
+    Nodes are ordered row-major (last axis fastest); each weight is the
+    product of its axis weights, multiplied in from the last axis to the
+    first, and each sum adds its axes in the group's order.  Both are built
+    by outer products, without a point array.
     """
     dim = len(lower)
     require_node_budget(npts, dim)
     rules = [mapped_rule(lo, hi, npts) for lo, hi in zip(lower, upper)]
-    idx = np.indices((npts,) * dim).reshape(dim, -1)
-    pts = np.stack([x[col] for (x, _), col in zip(rules, idx)], axis=-1)
-    wts = np.ones(idx.shape[1])
-    for (_, w), col in zip(rules[::-1], idx[::-1]):
-        wts *= w[col]
-    return pts, wts
+    wts = rules[-1][1]
+    for _, w in rules[-2::-1]:
+        wts = np.multiply.outer(w, wts).ravel()
+    shape = (npts,) * dim
+
+    def squares(c):
+        x = rules[c][0]
+        return (x * x).reshape([npts if j == c else 1 for j in range(dim)])
+
+    sums = [np.broadcast_to(sum(map(squares, group), 0.0), shape).ravel() for group in groups]
+    return wts, sums

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from htcarnot import (
     generator,
 )
 from htcarnot.geodesics import _block_weights
+from htcarnot.quadrature import mapped_rule
 from htcarnot.structure import GroupSpec, build_structure
 
 
@@ -39,6 +41,16 @@ def degenerate():
 def group(request):
     """Parametrized over the whole catalog."""
     return catalog_structure(request.param)
+
+
+def full_grid(lower, upper, quad):
+    """Every node and weight of the tensor Gauss-Legendre rule on the box
+    [lower, upper], row-major, node by node."""
+    rules = [list(zip(*mapped_rule(lo, hi, quad))) for lo, hi in zip(lower, upper)]
+    nodes = list(itertools.product(*rules))
+    pts = np.array([[x for x, _ in node] for node in nodes])
+    wts = np.array([math.prod(w for _, w in node) for node in nodes])
+    return pts, wts
 
 
 def matrix_series(coeff, A, terms=64):

@@ -20,7 +20,7 @@ from htcarnot import (
     multiply,
 )
 from htcarnot.catalog import catalog_structure
-from htcarnot.geodesics import _half_angle
+from htcarnot.geodesics import _half_angle, _l_rows
 
 from conftest import one_block, oracle_exp_neg, seeded_covectors
 
@@ -88,6 +88,20 @@ def test_geodesic_sample_consistency(group):
         geodesic_sample(group, lam, [0.5, 0.2])
     with pytest.raises(ValueError):
         geodesic_sample(group, lam, [0.5, 1.2])
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 8, 9, 12])
+def test_l_rows_match_the_broadcast_sum_bit_for_bit(p, k):
+    # L_vhat added one family member at a time has the bits of the sum over
+    # a of the (m, p, k, k) products, on either side of numpy's unrolled
+    # sums at 8 terms
+    rng = np.random.default_rng([67, p, k])
+    L = rng.standard_normal((p, k, k)) * 10.0 ** rng.integers(-3, 4, (p, 1, 1))
+    vhat = rng.standard_normal((9, p))
+    vhat[0] = 0.0
+    want = (vhat[:, :, None, None] * L).sum(axis=1)
+    assert _l_rows(L, vhat).tobytes() == want.tobytes()
 
 
 def test_geodesic_sample_checks_its_rows_once(heis):

@@ -66,7 +66,7 @@ def test_reach_is_strictly_increasing(data):
     sc = data.draw(structures)
     x = data.draw(horizontal_parts(sc))
     data = reach_data(sc, x)
-    reach = np.array([_reach(*data, r) for r in FRACTIONS * sc.first_conjugate_radius])
+    reach = np.array([_reach(*data, r)[0] for r in FRACTIONS * sc.first_conjugate_radius])
     assert np.all(np.diff(reach) > 0.0)
 
 
@@ -84,7 +84,7 @@ def test_cut_decision_agrees_with_a_dense_evaluation(data):
     rmax = np.nextafter(sc.first_conjugate_radius, 0.0)
     rs = np.linspace(0.0, rmax, 4097)[1:-1]
     dense = np.append((_phi(np.multiply.outer(rs, alphas))[0] * a).sum(axis=-1),
-                      _reach(alphas, a, b, rmax))
+                      _reach(alphas, a, b, rmax)[0])
     # |z| anywhere on the grid, and often at its last few radii, next to R
     k = data.draw(st.one_of(st.integers(0, dense.size - 1), st.integers(-4, -1)))
     zn = dense[k] * data.draw(st.floats(0.5, 2.0))

@@ -38,19 +38,10 @@ from htcarnot import (
 from htcarnot import mcp as mcp_module
 from htcarnot.geodesics import _jacobian_core
 from htcarnot.mcp import _jacobian_expansion, _require_box_in_domain, _sinh_ratio
-from htcarnot.quadrature import mapped_rule, pairwise_sum, pairwise_sums, tensor_grid
+from htcarnot.quadrature import mapped_rule, pairwise_sum, pairwise_sums
 from htcarnot.randomness import DEFAULT_SEED, generator
 
-from conftest import one_block
-
-
-def full_grid(box, quad):
-    """Every node and weight of the tensor Gauss-Legendre rule on the box."""
-    rules = [list(zip(*mapped_rule(lo, hi, quad))) for lo, hi in zip(box.lower, box.upper)]
-    nodes = list(itertools.product(*rules))
-    pts = np.array([[x for x, _ in node] for node in nodes])
-    wts = np.array([math.prod(w for _, w in node) for node in nodes])
-    return pts, wts
+from conftest import full_grid, one_block
 
 
 # --- dimension bookkeeping ---------------------------------------------------
@@ -352,7 +343,7 @@ def test_ratio_matches_naive_tensor_quadrature(heis):
     # without the factored moment table
     box = default_box(heis)
     t = 0.45
-    pts, wts = full_grid(box, 8)
+    pts, wts = full_grid(box.lower, box.upper, 8)
 
     def integral(scale):
         vals = [jacobian(heis, Covector(scale * row[:2], scale * row[2:])) for row in pts]
@@ -510,7 +501,7 @@ def test_negative_curvature_worker_count_is_bit_for_bit(heis):
 def _brute_force_bounds(sc, K, N, box, ts, quad):
     # the J-weighted box average of the distortion coefficient, summed over
     # every node of the quad^(k+p) grid
-    pts, wts = full_grid(box, quad)
+    pts, wts = full_grid(box.lower, box.upper, quad)
     u, v = pts[:, : sc.rank], pts[:, sc.rank:]
     q = np.stack([np.sum(u[:, b.indices] ** 2, axis=1) for b in sc.blocks], axis=-1)
     wj = wts * _jacobian_core(sc.block_alphas(), sc.block_pairs(), sc.corank, q,
@@ -576,7 +567,7 @@ def test_moment_table_against_loop_and_full_grid(group, quad):
         table = mcp_module._u_moment_table(group, u_lo, u_hi, quad, degree, fit[1])
         assert plain[:, 0].tolist() == table[:, 0].tolist() == _loop_moment_table(
             group, u_lo, u_hi, quad)
-        pts, wts = tensor_grid(u_lo, u_hi, quad)
+        pts, wts = full_grid(u_lo, u_hi, quad)
         y = np.sum((pts * pts - m) / h, axis=1)
         q = np.stack([np.sum(pts[:, b.indices] ** 2, axis=1) for b in group.blocks], axis=-1)
         for row, delta in zip(table, mcp_module._deltas(group.corank, len(group.blocks))):
@@ -603,15 +594,30 @@ def test_chebyshev_average_matches_factored_grid(group, shift, quad, monkeypatch
             assert got == pytest.approx(want, rel=1e-13)
 
 
+def test_flat_and_curved_reports_share_their_ratios(group, heis):
+    # one box integral serves every number: the ratios do not depend on K,
+    # on the fit path or on the u-grid path
+    ts = [0.1, 0.45, 0.8]
+    n = float(geodesic_dimension(group.spec))
+    wide = CovectorBox([0.1, 0.1, 0.5], [50.0, 50.0, 1.0])
+    assert mcp_module._distortion_fit(wide.lower[:2], wide.upper[:2], -1.0, 5.0, ts) is None
+    cases = [(group, default_box(group), n), (group, _narrowed_box(group), n),
+             (heis, wide, 5.0)]
+    for sc, box, N in cases:
+        flat = mcp_report(sc, 0.0, N, box, ts, 8)
+        assert mcp_report(sc, -1.0, N, box, ts, 8).ratios == flat.ratios
+        assert flat.ratios == tuple(contraction_ratio(sc, box, t, 8) for t in ts)
+
+
 def _parent_grid_bounds(sc, box, K, N, ts, quad):
     # the u-grid sum as it is written without the interpolant: one
     # pairwise_sum per coefficient and per monomial
     u_lo, u_hi, v_lo, v_hi = box.split(sc.rank)
-    v_pts, v_wts = tensor_grid(v_lo, v_hi, quad)
+    v_pts, v_wts = full_grid(v_lo, v_hi, quad)
     pref, coeffs = _jacobian_expansion(
         sc, np.multiply.outer(np.linalg.norm(v_pts, axis=1), sc.block_alphas()))
     v_side = np.array([pairwise_sum(v_wts * pref * c) for c in coeffs])
-    u_pts, u_wts = tensor_grid(u_lo, u_hi, quad)
+    u_pts, u_wts = full_grid(u_lo, u_hi, quad)
     q = np.stack([np.sum(u_pts[:, b.indices] ** 2, axis=1) for b in sc.blocks], axis=-1)
     monomials = [u_wts * np.prod(q ** np.array(delta), axis=-1)
                  for delta in mcp_module._deltas(sc.corank, len(sc.blocks))]

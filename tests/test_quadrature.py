@@ -12,8 +12,10 @@ from htcarnot.quadrature import (
     pairwise_sum,
     pairwise_sums,
     require_node_budget,
-    tensor_grid,
+    tensor_squares,
 )
+
+from conftest import full_grid
 
 
 def test_pairwise_sum_matches_fsum():
@@ -61,21 +63,31 @@ def test_pairwise_sums_rows_match_pairwise_sum():
     assert pairwise_sums(np.zeros((2, 0))).tolist() == [0.0, 0.0]
 
 
-def test_tensor_grid_is_the_full_row_major_grid():
-    pts, wts = tensor_grid([0.0, -1.0], [1.0, 3.0], 3)
-    x0, w0 = mapped_rule(0.0, 1.0, 3)
-    x1, w1 = mapped_rule(-1.0, 3.0, 3)
-    np.testing.assert_array_equal(pts, [(a, b) for a in x0 for b in x1])
-    np.testing.assert_array_equal(wts, [a * b for a in w0 for b in w1])
-    # three axes: each weight is multiplied in from the last axis to the first
+def test_tensor_squares_is_the_full_row_major_grid():
+    pts, wts = full_grid([0.0, -1.0], [1.0, 3.0], 3)
+    got, (sq,) = tensor_squares([0.0, -1.0], [1.0, 3.0], 3, [range(2)])
+    assert got.tolist() == wts.tolist()
+    assert sq.tolist() == np.sum(pts * pts, axis=1).tolist()
+    # three axes: each weight is multiplied in from the last axis to the
+    # first, and each sum adds its axes in the group's order
     lower, upper = [0.0, -1.0, 2.0], [0.3, 2.5, 7.0]
-    pts, wts = tensor_grid(lower, upper, 4)
-    rules = [mapped_rule(lo, hi, 4) for lo, hi in zip(lower, upper)]
-    (x0, w0), (x1, w1), (x2, w2) = rules
-    np.testing.assert_array_equal(pts, [(a, b, c) for a in x0 for b in x1 for c in x2])
-    assert wts.tolist() == [(c * b) * a for a in w0 for b in w1 for c in w2]
-    pts, wts = tensor_grid([0.0, 0.0], [1.0, 2.0], 12)
-    got = pairwise_sum(wts * np.cos(pts[:, 0]) * np.exp(pts[:, 1]))
+    pts, wts = full_grid(lower, upper, 4)
+    groups = [range(3), (2, 0), (1,), ()]
+    got, sums = tensor_squares(lower, upper, 4, groups)
+    (_, w0), (_, w1), (_, w2) = [mapped_rule(lo, hi, 4) for lo, hi in zip(lower, upper)]
+    assert got.tolist() == [(c * b) * a for a in w0 for b in w1 for c in w2]
+    np.testing.assert_allclose(got, wts, rtol=1e-15, atol=0.0)
+    for group, sq in zip(groups, sums):
+        assert sq.tolist() == [sum((row[c] * row[c] for c in group), 0.0) for row in pts]
+    # nine axes: still added one axis at a time, where numpy's row sums
+    # switch to an unrolled order
+    lower, upper = np.linspace(-1.0, 0.5, 9), np.linspace(0.2, 2.0, 9)
+    pts, wts = full_grid(lower, upper, 2)
+    got, (sq,) = tensor_squares(lower, upper, 2, [range(9)])
+    np.testing.assert_allclose(got, wts, rtol=1e-15, atol=0.0)
+    assert sq.tolist() == [sum((x * x for x in row), 0.0) for row in pts]
+    wts, (sq0, sq1) = tensor_squares([0.0, 0.0], [1.0, 2.0], 12, [(0,), (1,)])
+    got = pairwise_sum(wts * np.cos(np.sqrt(sq0)) * np.exp(np.sqrt(sq1)))
     assert got == pytest.approx(math.sin(1.0) * (math.e**2 - 1.0), rel=1e-14)
 
 
@@ -84,7 +96,7 @@ def test_node_budget_rejects_before_allocating():
     with pytest.raises(ValueError, match=str(2**23)):
         require_node_budget(2, 23)
     with pytest.raises(ValueError, match=str(10**28)):
-        tensor_grid([0.0] * 7, [1.0] * 7, 10**4)
+        tensor_squares([0.0] * 7, [1.0] * 7, 10**4, [range(7)])
     # the rule's eigenproblem has npts^2 entries
     side = math.isqrt(NODE_BUDGET)
     with pytest.raises(ValueError, match="eigenproblem"):

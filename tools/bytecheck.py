@@ -171,6 +171,14 @@ def commands(workdir: Path) -> list[list[str]]:
     # N - 1 = 1e-7, where the distortion bound underflowed to 0
     argvs.append(["mcp", "--group", "heisenberg3", "--K=-1", "--N=1.0000001",
                   "--t-grid", "0.5", *csv])
+    # wide u-boxes, where the Chebyshev fit of the distortion coefficient
+    # misses its error bound and the K < 0 average is summed over the u-grid
+    argvs += [["mcp", "--group", "heisenberg3", "--K=-25", "--N=5",
+               "--box=-20,-20,0.5;20,20,1", *csv],
+              ["mcp", "--group", "heisenberg3", "--K=-1", "--N=5",
+               "--box=0.1,0.1,0.5;50,50,1", *csv],
+              ["mcp", "--group", "contact12", "--K=-1",
+               "--box=0.1,0.1,0.1,0.1,0.5;20,20,20,20,1", *csv]]
     return argvs
 
 
