@@ -14,11 +14,19 @@ their exact limits and both sides of the switch are accurate to a few units
 in the last place.  It takes an array or a Python float through the same
 formulas; a float is one branch decision on math's sin and cos, and gets
 the bits of its entry in an array.  Each caller derives its factors from
-the triple: exp and f(L_v)^-1 take sinc(theta) = sinc(theta/2) cos(theta/2)
-and the odd part -sinc(theta/2)^2 / 2 of f; exp's vertical part, the
-vertical reach and the cut-locus coefficient take h3; log_map's F and F'
-take sinc(theta/2), h3 and tau, on floats, one angle per eigenblock; the
-Jacobian takes all three.
+the triple: exp and f(L_v)^-1 take sinc(theta) = sinc(theta/2) cos(theta/2),
+with the cosine from the kernel too, and the odd part -sinc(theta/2)^2 / 2
+of f; exp's vertical part, the vertical reach and the cut-locus coefficient
+take h3; log_map's F and F' take sinc(theta/2), h3 and tau, on floats, one
+angle per eigenblock; the Jacobian takes all three.
+
+exp runs on arrays of covectors (:func:`_exp_rows`, for geodesic_sample)
+or, for one covector of a group of rank below 8, on Python floats
+(:func:`_exp_row`, for exp_map and the endpoint check of _invert), with
+one kernel evaluation per eigenblock, whose coordinates share its angle.
+The float path repeats the array path's operations in its order, so it
+gets the bits of the matching row: numpy sums fewer than 8 entries in
+order, and from 8 on pairwise, which the array path keeps.
 
 One routine, :func:`_invert`, inverts exp for log_map and for distance,
 the one distance function, total on all pairs.  It carries every target,
@@ -66,70 +74,76 @@ _COT_SERIES = (1.0 / 3, 1.0 / 45, 2.0 / 945, 1.0 / 4725, 2.0 / 93555,
                1382.0 / 638512875, 4.0 / 18243225, 3617.0 / 162820783125)
 
 
-def _switch(theta, direct: Callable, series: Callable):
+def _switch(theta, direct: Callable, series: Callable, *args):
     # Evaluate `direct` away from 0 and `series` below the cancellation
-    # threshold.  A Python float is one branch decision.  On an array one
-    # count of the small angles picks the branch, so only a mixed array
-    # evaluates both, each on its own entries: `direct` never sees 0, and
-    # `series` never sees a large angle, where its powers would overflow.
-    # Both may return a tuple of arrays, which a mixed array gets back
-    # stacked on a new first axis.
+    # threshold, each with the angles first and then `args`.  A Python float
+    # is one branch decision.  On an array one count of the small angles
+    # picks the branch, so only a mixed array evaluates both, each on its
+    # own entries: `direct` never sees 0, and `series` never sees a large
+    # angle, where its powers would overflow.  Both may return a tuple of
+    # arrays, which a mixed array gets back stacked on a new first axis.
     if type(theta) is float:
-        return series(theta) if abs(theta) < _SMALL_THETA else direct(theta)
+        return series(theta, *args) if abs(theta) < _SMALL_THETA else direct(theta, *args)
     th = np.asarray(theta, dtype=np.float64)
     small = np.abs(th) < _SMALL_THETA
     count = np.count_nonzero(small)
     if count == 0:
-        out = direct(th)
+        out = direct(th, *args)
     elif count == th.size:
-        out = series(th)
+        out = series(th, *args)
     else:
-        near, far = np.asarray(series(th[small])), np.asarray(direct(th[~small]))
+        near = np.asarray(series(th[small], *args))
+        far = np.asarray(direct(th[~small], *args))
         out = np.empty(near.shape[:-1] + th.shape)
         out[..., small] = near
         out[..., ~small] = far
     return out
 
 
-def _half_angle_direct(t):
+def _half_angle_direct(t, with_cos=False):
     # sinc(t/2), h3(t) and tau(t) from one sin/cos pair at x = t/2, with
-    # t - sin t = 2 (x - sin x cos x); a Python float takes math's sin and
-    # cos, which round as numpy's do
+    # t - sin t = 2 (x - sin x cos x), and with_cos adds that cos(t/2); a
+    # Python float takes math's sin and cos, which round as numpy's do
     x = 0.5 * t
     if type(x) is float:
         sin, cos = math.sin(x), math.cos(x)
     else:
         sin, cos = np.sin(x), np.cos(x)
     quad = 4.0 * x * x
-    return sin / x, (x - sin * cos) / (quad * x), (sin - x * cos) / (quad * sin)
+    out = sin / x, (x - sin * cos) / (quad * x), (sin - x * cos) / (quad * sin)
+    return (*out, cos) if with_cos else out
 
 
-def _half_angle_series(t):
+def _half_angle_series(t, with_cos=False):
     x = 0.5 * t
-    return _poly(x, *_SINC_SERIES), _poly(t, *_H3_SERIES), 0.25 * _poly(x, *_COT_SERIES)
+    out = _poly(x, *_SINC_SERIES), _poly(t, *_H3_SERIES), 0.25 * _poly(x, *_COT_SERIES)
+    if not with_cos:
+        return out
+    return (*out, math.cos(x) if type(x) is float else np.cos(x))
 
 
-def _half_angle(theta):
+def _half_angle(theta, with_cos=False):
     """The kernel: sinc(theta/2), h3(theta) and tau(theta) at the angles theta,
-    an array or a Python float.
+    an array or a Python float, and with_cos adds cos(theta/2).
 
     h3(theta) = (theta - sin theta)/theta^3 with the limit 1/6 at 0, and
     tau(theta) = (sin x - x cos x) / (4 x^2 sin x) at x = theta/2, with the
     limit 1/12 at 0, finite and positive on [0, 2 pi).  All three come from
-    one sin/cos pair at theta/2, under one branch decision.  Beyond theta of
-    about 7e102 the cube in h3 overflows to h3 = 0; only exp goes there, and
-    it does not use h3 at those angles.
+    one sin/cos pair at theta/2, under one branch decision; the direct
+    branch returns that cosine, and the series branch takes its own.  Beyond
+    theta of about 7e102 the cube in h3 overflows to h3 = 0; only exp goes
+    there, and it does not use h3 at those angles.
     """
-    return _switch(theta, _half_angle_direct, _half_angle_series)
+    return _switch(theta, _half_angle_direct, _half_angle_series, with_cos)
 
 
 def _f_parts(theta):
     # sinc(theta), the even part of f(L_v) = (1 - e^-L_v)/L_v, with the
     # kernel's sinc(theta/2) and h3(theta); the odd part of f is
     # (cos theta - 1)/theta^2 = -sinc(theta/2)^2 / 2, which does not cancel
-    # near 0 or near 2 pi
-    sinc_half, h3, _ = _half_angle(theta)
-    return sinc_half * np.cos(0.5 * theta), sinc_half, h3
+    # near 0 or near 2 pi.  An array or a Python float.
+    sinc_half, h3, _, cos_half = _half_angle(theta, True)
+    return sinc_half * cos_half, sinc_half, h3
 
 
 def _phi(theta):
@@ -164,8 +178,8 @@ class Covector:
         v = _as_1d(self.v)
         if not all(map(math.isfinite, u.tolist() + v.tolist())):
             raise ValueError(f"covector components must be finite, got u={u}, v={v}")
-        u.flags.writeable = False
-        v.flags.writeable = False
+        u.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -217,13 +231,14 @@ def _exp_rows(sc, u, v):
     # nothing.
     e = _dilation_exponent(float(np.abs(u).max())) if u.size else 0
     u = np.ldexp(u, -e)
-    vn = np.hypot.reduce(np.abs(v), axis=1, keepdims=True)
-    vhat = v / np.where(vn > 0.0, vn, 1.0)
     pos = sc.s_positive
     s = sc.s_diag[pos]
+    # |v| beyond the float range is inf, and so is its angle, which raises;
     # h3's cube may overflow (to h3 = 0, unused there), and an endpoint
     # beyond the float range becomes inf, which GroupPoint rejects
     with np.errstate(over="ignore"):
+        vn = np.hypot.reduce(np.abs(v), axis=1, keepdims=True)
+        vhat = v / np.where(vn > 0.0, vn, 1.0)
         theta = vn * s
         top = float(theta.max(initial=0.0))
         if not math.isfinite(top):
@@ -251,6 +266,84 @@ def _l_rows(L, vhat):
     return lv
 
 
+# Below this rank exp at one covector runs on Python floats (_exp_row) with
+# the bits of its row of _exp_rows: numpy sums a row of fewer than 8 entries
+# in order, as _exp_row does.  From 8 entries on numpy sums pairwise, so the
+# bits would differ, and the float loops over k^2 entries of L_vhat lose
+# their lead over the array path.
+_FLOAT_ROW_RANK = 8
+
+# Below this bound on every |v_a|, |v| is below 2^1000 sqrt(p), so no hypot
+# of its chain overflows
+_HYPOT_SAFE = 2.0**1000
+
+
+def _hypot_chain(v):
+    # |v| for a list of floats: numpy's hypot, in order, as the reduce of
+    # _exp_rows takes it; inf, with an overflow warning, beyond the float range
+    vn = abs(v[0])
+    for c in v[1:]:
+        vn = float(np.hypot(vn, abs(c)))
+    return vn
+
+
+def _exp_row(sc, u, v):
+    # exp at one covector, u and v lists of Python floats, as the lists
+    # (x, z): the operations of _exp_rows on its one row, in its order, so
+    # the bits are the same.  Every coordinate of eigenblock j has the angle
+    # alpha_j |v|, so the kernel runs once per block, on a float.  |v| is
+    # numpy's chain of hypot; L_vhat u is summed from 0.0 as _l_rows and
+    # numpy's row sum add, over the non-zero entries of sc.row_tables.
+    alphas, rows = sc.row_tables
+    e = _dilation_exponent(max(map(abs, u)))
+    u = [math.ldexp(c, -e) for c in u]
+    if max(map(abs, v)) < _HYPOT_SAFE:
+        vn = _hypot_chain(v)
+    else:
+        with np.errstate(over="ignore"):
+            vn = _hypot_chain(v)
+    unit = vn if vn > 0.0 else 1.0
+    vhat = [c / unit for c in v]
+    if not math.isfinite(vn * alphas[-1]):
+        raise ValueError("the angles s_c |v| of the covector are beyond the float range")
+    blocks = []
+    for alpha in alphas:
+        theta = vn * alpha
+        sinc, sinc_half, h3 = _f_parts(theta)
+        rise = theta * h3 if theta < _LARGE_ANGLE else 1.0 / theta
+        blocks.append((sinc, 0.5 * sinc_half * (sinc_half * vn), alpha * rise))
+    x = u[:]
+    reach = 0.0
+    for c, j, row in rows:
+        sinc, odd, rate = blocks[j]
+        uc = u[c]
+        lu = 0.0
+        for col, entries in row:
+            lv = 0.0
+            for a, la in entries:
+                lv += vhat[a] * la
+            lu += lv * u[col]
+        x[c] = sinc * uc - odd * lu
+        reach += rate * (uc * uc)
+    z = [0.5 * reach * w for w in vhat]
+    try:
+        return [math.ldexp(w, e) + 0.0 for w in x], [math.ldexp(w, 2 * e) + 0.0 for w in z]
+    except OverflowError:
+        # an endpoint beyond the float range: inf, as _exp_rows makes it,
+        # which GroupPoint and _invert's endpoint check reject
+        with np.errstate(over="ignore"):
+            return (np.ldexp(x, e) + 0.0).tolist(), (np.ldexp(z, 2 * e) + 0.0).tolist()
+
+
+def _exp_point(sc, u, v):
+    # exp at one covector, u and v lists of floats, as the lists (x, z): on
+    # Python floats below _FLOAT_ROW_RANK, else the one row of _exp_rows
+    if sc.rank < _FLOAT_ROW_RANK:
+        return _exp_row(sc, u, v)
+    x, z = _exp_rows(sc, np.array([u]), np.array([v]))
+    return x[0].tolist(), z[0].tolist()
+
+
 def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
     """Endpoint at time 1 of the normal geodesic with initial covector lam.
 
@@ -259,12 +352,16 @@ def exp_map(sc: StructureConstants, lam: Covector) -> GroupPoint:
     g(z) = 1 - sinh(z)/z, evaluated as (1/2) sum_c s_c theta_c h3(theta_c)
     u_c^2 times v/|v|, with h3(theta) = (theta - sin theta)/theta^3.  Total
     and smooth on all of R^k x R^p: every factor is bounded at every finite
-    angle theta_c = s_c |v|.  Raises ValueError only where such an angle is
-    beyond the float range.
+    angle theta_c = s_c |v|.  Two ValueErrors remain, both at the edge of
+    the float range: "the angles s_c |v| of the covector are beyond the
+    float range" where |v| or such an angle is, and GroupPoint's "point
+    coordinates must be finite" where the endpoint is, as z is at
+    u = (1e200, 0), v = 1 on heisenberg3.  Below rank 8 the covector runs on
+    Python floats; the point has the bits of its row of geodesic_sample
+    either way.
     """
     _check_covector(sc, lam)
-    x, z = _exp_rows(sc, lam.u[None], lam.v[None])
-    return GroupPoint(x[0], z[0])
+    return GroupPoint(*_exp_point(sc, lam.u.tolist(), lam.v.tolist()))
 
 
 def geodesic_sample(sc: StructureConstants, lam: Covector, ts) -> list[GroupPoint]:
@@ -609,7 +706,7 @@ def _invert(sc, target: GroupPoint, exact_v: bool = True) -> tuple[Covector, boo
             raise IdentityTarget("log of the identity is not defined")
         u, v = x, np.zeros(sc.corank)
     else:
-        goal = np.concatenate((x, z))
+        goal = x.tolist() + z.tolist()
         r = _reach_root(fr, x, zn)
         cut = r is None
         if cut:
@@ -617,10 +714,10 @@ def _invert(sc, target: GroupPoint, exact_v: bool = True) -> tuple[Covector, boo
             x[fr.blocks[-1].indices] = 0.0
         vhat = z / zn
         u, v = _momentum_at(fr, x, zn, vhat, r), r * vhat
-        # the endpoint straight from the exp kernel, which exp_map wraps
-        end_x, end_z = _exp_rows(fr, u[None], v[None])
-        residual = math.hypot(*(np.concatenate((end_x[0], end_z[0])) - goal).tolist())
-        tol = _LOG_ENDPOINT * max(1.0, math.hypot(*goal.tolist()))
+        # the endpoint from exp_map's own evaluation, as lists of floats
+        end_x, end_z = _exp_point(fr, u.tolist(), v.tolist())
+        residual = math.hypot(*[w - g for w, g in zip(end_x + end_z, goal)])
+        tol = _LOG_ENDPOINT * max(1.0, math.hypot(*goal))
         if not residual <= tol:
             raise NoCandidateFound(
                 f"the covector misses the target by {residual:.3e} > {tol:.3e}; "

@@ -34,8 +34,8 @@ class GroupPoint:
         z = _as_1d(self.z)
         if not all(map(math.isfinite, x.tolist() + z.tolist())):
             raise ValueError(f"point coordinates must be finite, got x={x}, z={z}")
-        x.flags.writeable = False
-        z.flags.writeable = False
+        x.setflags(write=False)
+        z.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
 

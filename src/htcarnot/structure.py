@@ -404,6 +404,28 @@ class StructureConstants:
             return self
         return StructureConstants(np.ldexp(self.S, -a), np.ldexp(self.L, -a))
 
+    @cached_property
+    def row_tables(self) -> tuple[tuple[float, ...], tuple]:
+        """This structure as Python floats, for exp at one covector.
+
+        The block alphas in increasing order, and per coordinate c with
+        s_c > 0, in increasing c, the triple (c, the position of its block,
+        its row of L); the row lists (j, ((a, L^a[c, j]), ...)) over the
+        columns j, with only the non-zero entries.  A zero entry would add a
+        signed zero to a sum that starts at 0.0, which leaves it unchanged.
+        """
+        block_of = {c: j for j, b in enumerate(self.blocks) for c in b.indices.tolist()}
+        L = self.L.tolist()
+        rows = []
+        for c in sorted(block_of):
+            row = []
+            for j in range(self.rank):
+                entries = tuple((a, la[c][j]) for a, la in enumerate(L) if la[c][j] != 0.0)
+                if entries:
+                    row.append((j, entries))
+            rows.append((c, block_of[c], tuple(row)))
+        return tuple(b.alpha for b in self.blocks), tuple(rows)
+
     def block_alphas(self) -> np.ndarray:
         return np.array([b.alpha for b in self.blocks])
 

@@ -299,20 +299,42 @@ def test_switch_matches_the_two_branch_form_bit_for_bit(direct, series, theta):
 
 def test_vector_and_scalar_agree():
     # a Python float runs the same formulas on math's sin and cos, and gets
-    # the bits of its entry in a mixed array: seeded angles in [0, 2 pi),
-    # both sides of the switch at 0.5, the last float below 2 pi and
-    # subnormals
+    # the bits of its entry in a mixed array, with and without cos(theta/2):
+    # seeded angles in [0, 2 pi) and log-uniform up to the float range, both
+    # sides of the switch at 0.5, the last float below 2 pi, 2^64 (exp's
+    # switch to 1/theta), the angles near 7e102 where h3's cube overflows,
+    # the largest float and subnormals
     rng = np.random.default_rng(2301)
     switch, top = _SMALL_THETA, np.nextafter(2.0 * np.pi, 0.0)
+    big = np.finfo(np.float64).max
     thetas = np.concatenate((
         [0.0, 1e-5, 0.3, 2.0, np.nextafter(switch, 0.0), switch,
          np.nextafter(switch, 1.0), top, np.nextafter(top, 0.0)],
         [5e-324, 1e-310, np.nextafter(np.finfo(np.float64).tiny, 0.0)],
+        [2.0**64, np.nextafter(2.0**64, 0.0), 7e102, 7.2e102, 1e200, big, np.nextafter(big, 0.0)],
         rng.uniform(0.0, 2.0 * np.pi, 2000),
         rng.uniform(0.45, 0.55, 200),
+        10.0 ** rng.uniform(0.0, 308.0, 2000),
     ))
-    vec = np.asarray(_half_angle(thetas))
-    for th, expect in zip(thetas.tolist(), vec.T):
-        got = _half_angle(th)
-        assert all(type(g) is float for g in got)
-        assert np.array(got).tobytes() == expect.tobytes()
+    for with_cos in (False, True):
+        with np.errstate(over="ignore"):
+            vec = np.asarray(_half_angle(thetas, with_cos))
+        assert len(vec) == 3 + with_cos
+        for th, expect in zip(thetas.tolist(), vec.T):
+            got = _half_angle(th, with_cos)
+            assert all(type(g) is float for g in got)
+            assert np.array(got).tobytes() == expect.tobytes()
+
+
+def test_f_parts_takes_the_cosine_of_the_kernel():
+    # sinc(theta) = sinc(theta/2) cos(theta/2) with the cosine of the
+    # kernel's direct branch, and the series branch's own: the bits of
+    # np.cos(0.5 theta) on all-small, all-large and mixed arrays and on floats
+    rng = np.random.default_rng(2603)
+    mixed = np.concatenate(([0.0, _SMALL_THETA], rng.uniform(0.0, 2.0 * np.pi, 500),
+                            rng.uniform(0.45, 0.55, 100)))
+    for thetas in (mixed, mixed[mixed < _SMALL_THETA], mixed[mixed >= _SMALL_THETA]):
+        sinc, sinc_half, _ = _f_parts(thetas)
+        assert sinc.tobytes() == (sinc_half * np.cos(0.5 * thetas)).tobytes()
+        for th, want in zip(thetas.tolist(), sinc.tolist()):
+            assert np.float64(_f_parts(th)[0]).tobytes() == np.float64(want).tobytes()

@@ -19,8 +19,10 @@ from htcarnot import (
     l_of_v,
     multiply,
 )
-from htcarnot.catalog import catalog_structure
-from htcarnot.geodesics import _half_angle, _l_rows
+from htcarnot import geodesics
+from htcarnot.catalog import catalog_names, catalog_structure
+from htcarnot.geodesics import _FLOAT_ROW_RANK, _exp_rows, _half_angle, _l_rows
+from htcarnot.structure import GroupSpec, StructureConstants, build_structure, hurwitz_radon
 
 from conftest import one_block, oracle_exp_neg, seeded_covectors
 
@@ -304,3 +306,124 @@ def test_exp_at_large_vertical_momentum_matches_the_closed_form(name, vn):
     assert np.linalg.norm(pt.x - x_ref) <= 1e-14 * np.linalg.norm(x_ref)
     assert pt.z[0] == pytest.approx(z_ref, rel=1e-14, abs=0.0)
     assert cut_time(sc, lam) == pytest.approx(2.0 * np.pi / (sc.alpha_max * vn), rel=1e-15)
+
+
+def _spectral_structures():
+    # seeded structures of rank 2 to 16 with 1 to 3 blocks, some with ker S,
+    # on both sides of _FLOAT_ROW_RANK, and one of them with its coordinates
+    # permuted, so that its blocks and ker S interleave
+    rng = np.random.default_rng(2601)
+    out = []
+    while len(out) < 24:
+        pairs = rng.integers(1, 5, rng.integers(1, 4)).tolist()
+        kernel = int(rng.integers(0, 3))
+        rank = kernel + 2 * sum(pairs)
+        if rank > 16:
+            continue
+        corank = int(rng.integers(1, min(hurwitz_radon(2 * m) for m in pairs)))
+        alphas = np.sort(rng.uniform(0.2, 3.0, len(pairs))).tolist()
+        out.append(build_structure(GroupSpec(rank, corank, tuple(zip(alphas, pairs)), kernel)))
+    sc = next(sc for sc in out if sc.kernel_indices.size and len(sc.blocks) > 1)
+    perm = rng.permutation(sc.rank)
+    out.append(StructureConstants(sc.S[np.ix_(perm, perm)], sc.L[:, perm][:, :, perm]))
+    return out
+
+
+SPECTRAL = _spectral_structures()
+
+
+def _edge_covectors(sc, rng):
+    # v = 0, S u = 0, |v| at and beyond R, angles at and beyond 2^64 up to
+    # the float range, subnormal u and -0.0 entries
+    k, p = sc.rank, sc.corank
+    u = rng.standard_normal(k)
+    vhat = rng.standard_normal(p)
+    vhat /= np.linalg.norm(vhat)
+    R, amax = sc.first_conjugate_radius, sc.alpha_max
+    on_ker = np.zeros(k)
+    on_ker[sc.kernel_indices] = 1.5
+    out = [(u, np.zeros(p)), (u, np.full(p, -0.0)), (np.zeros(k), vhat), (on_ker, 0.7 * vhat),
+           (-np.zeros(k), -np.zeros(p))]
+    out += [(u, r * vhat) for r in (R * (1 - 1e-12), np.nextafter(R, 0.0), R, 2.0 * R)]
+    out += [(u, r / amax * vhat) for r in (2.0**64, np.nextafter(2.0**64, 0.0),
+                                           np.nextafter(2.0**64, np.inf), 1e30, 1e200, 1e307)]
+    tiny = np.full(k, 5e-324)
+    tiny[::2] = -1e-310
+    out += [(tiny, 0.5 * R * vhat), (np.where(np.arange(k) % 2, 1.0, 3e-320), 0.3 * R * vhat)]
+    signed = np.where(np.arange(k) % 3, u, -0.0)
+    out.append((signed, np.where(np.arange(p) % 2, -0.0, 0.4 * R * vhat)))
+    return out
+
+
+def _assert_row_bits(sc, u, v):
+    # exp_map, a row of geodesic_sample and the row of _exp_rows, bit for bit
+    lam = Covector(u, v)
+    x, z = _exp_rows(sc, lam.u[None], lam.v[None])
+    want = np.concatenate((x[0], z[0])).tobytes()
+    assert exp_map(sc, lam).as_vector().tobytes() == want
+    assert geodesic_sample(sc, lam, [0.0, 1.0])[1].as_vector().tobytes() == want
+
+
+@pytest.mark.parametrize("sc", [catalog_structure(name) for name in catalog_names()] + SPECTRAL,
+                         ids=[*catalog_names(), *(f"spectral{i}" for i in range(len(SPECTRAL)))])
+def test_one_covector_has_the_bits_of_its_row(sc):
+    # below _FLOAT_ROW_RANK exp_map runs on Python floats, from it on on the
+    # array rows; either way a single covector gets the bits of its row
+    rng = np.random.default_rng([2602, sc.rank, sc.corank, len(sc.blocks)])
+    R = sc.first_conjugate_radius
+    for _ in range(100):
+        u = rng.standard_normal(sc.rank) * 10.0 ** rng.uniform(-3, 3)
+        v = rng.standard_normal(sc.corank)
+        v *= rng.uniform(0.0, 3.0) * R / np.linalg.norm(v)
+        _assert_row_bits(sc, u, v)
+    for u, v in _edge_covectors(sc, rng):
+        _assert_row_bits(sc, u, v)
+
+
+def test_spectral_structures_span_the_float_row_rank():
+    ranks = {sc.rank for sc in SPECTRAL}
+    assert min(ranks) < _FLOAT_ROW_RANK <= max(ranks) <= 16
+    assert {len(sc.blocks) for sc in SPECTRAL} == {1, 2, 3}
+    assert any(sc.kernel_indices.size for sc in SPECTRAL)
+    assert isinstance(SPECTRAL[-1].s_positive, np.ndarray)
+
+
+@pytest.mark.parametrize("sc", [one_block(4, 3, 2.0), one_block(8, 7, 2.0)],
+                         ids=["floats", "array-rows"])
+@pytest.mark.parametrize("u, v, message", [
+    ([1.0, 0.5], [1e308, 0.0], "the angles s_c |v| of the covector are beyond the float range"),
+    ([1.0, 0.5], [1.5e308, -1.5e308], "the angles s_c |v| of the covector are beyond"),
+    ([1e200, 0.5], [1.0], "point coordinates must be finite"),
+    ([-1e200, 0.5], [1.0, 0.0], "point coordinates must be finite"),
+], ids=["angle", "norm", "endpoint", "negative-endpoint"])
+def test_overflow_raises_one_message_on_both_paths(sc, u, v, message):
+    # an angle s_c |v| beyond the float range raises in the kernel, also
+    # where |v| itself is beyond it, with no RuntimeWarning; an endpoint
+    # beyond it is inf, which GroupPoint rejects
+    u = np.resize(np.asarray(u, dtype=np.float64), sc.rank)
+    v = np.resize(np.asarray(v, dtype=np.float64), sc.corank)
+    lam = Covector(u, v)
+    with pytest.raises(ValueError) as single:
+        exp_map(sc, lam)
+    with pytest.raises(ValueError) as sampled:
+        geodesic_sample(sc, lam, [0.0, 1.0])
+    assert str(single.value) == str(sampled.value)
+    assert str(single.value).startswith(message)
+
+
+def test_exp_map_makes_no_array_kernel_evaluation(group, monkeypatch):
+    # one covector runs on Python floats: one kernel evaluation per
+    # eigenblock, on a float
+    arrays, floats = [], []
+
+    def spy(theta, *args):
+        (floats if type(theta) is float else arrays).append(theta)
+        return half_angle(theta, *args)
+
+    half_angle = geodesics._half_angle
+    monkeypatch.setattr(geodesics, "_half_angle", spy)
+    for u, v in seeded_covectors(group, 8, stream=27):
+        floats.clear()
+        exp_map(group, Covector(u, v))
+        assert len(floats) == len(group.blocks)
+    assert not arrays

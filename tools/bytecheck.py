@@ -4,11 +4,16 @@ Runs every command of :func:`commands` in process through ``cli.main``,
 against whatever ``htcarnot`` is importable, and prints one line per
 command: the exit code, then the SHA-256 of its stdout, its stderr and the
 CSV it wrote to ``--out`` ("-" where it wrote none), each cut to 16 hex
-digits, then the command itself.  An exception that escapes ``cli.main``
-counts as exit 1, with its type and message as stderr.  Run it on two
-checkouts and diff the outputs to see which commands changed which bytes:
+digits, then the command itself, after a first line that names the numpy
+and Python versions.  An exception that escapes ``cli.main`` counts as
+exit 1, with its type and message as stderr.  Run it on two checkouts and
+diff the outputs to see which commands changed which bytes:
 
     PYTHONPATH=src python tools/bytecheck.py > after.txt
+
+``tests/bytecheck.golden`` holds its output at the current commit, and
+``tests/test_bytecheck.py`` compares every command's line with it.  A
+change that moves bytes regenerates the file with the command above.
 """
 
 from __future__ import annotations
@@ -18,10 +23,13 @@ import hashlib
 import io
 import json
 import math
+import platform
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from htcarnot import catalog_names, catalog_structure, cli
 
@@ -148,6 +156,11 @@ def commands(workdir: Path) -> list[list[str]]:
     argvs += [["log", _config(workdir, 2, 1, alpha), f"--x={x}", "--z=1"]
               for x in ("0,0", "1,0") for alpha in ("1e-200", "1e160")]
     argvs += [["sharpness", _config(workdir, 2, 1, alpha), *csv] for alpha in ("1e-16", "1e-300")]
+    # |v| beyond the float range, where numpy warned before the error, and
+    # an endpoint beyond it
+    argvs += [["exp", "--group", "htype4x3", "--u=1,0,0,0", "--v=1.5e308,1.5e308,1.5e308",
+               "--steps", "1", *csv],
+              ["exp", "--group", "heisenberg3", "--u=1e200,0", "--v=1", "--steps", "1", *csv]]
     # a cut time 2 pi / (alpha |v|) beyond the float range
     argvs.append(["exp", _config(workdir, 2, 1, "1e-300"), "--u=1,0.3", "--v=1e-30",
                   "--steps", "1", *csv])
@@ -204,13 +217,20 @@ def run(argv: list[str], out: Path) -> tuple[int, bytes, bytes, bytes | None]:
     return code, stdout.getvalue().encode(), stderr.getvalue().encode(), csv
 
 
+def report(workdir: Path) -> list[str]:
+    """The lines of the check, commands run in workdir: the versions, then
+    one line per command."""
+    lines = [f"# numpy {np.__version__}, Python {platform.python_version()}"]
+    for argv in commands(workdir):
+        code, stdout, stderr, csv = run(argv, workdir / "out.csv")
+        shown = " ".join(argv).replace(str(workdir), "$WORKDIR")
+        lines.append(f"{code} {_digest(stdout)} {_digest(stderr)} {_digest(csv)} {shown}")
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
-        for argv in commands(workdir):
-            code, stdout, stderr, csv = run(argv, workdir / "out.csv")
-            shown = " ".join(argv).replace(str(workdir), "$WORKDIR")
-            print(code, _digest(stdout), _digest(stderr), _digest(csv), shown)
+        print("\n".join(report(Path(tmp))))
     return 0
 
 
