@@ -20,7 +20,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", choices=catalog_names(),
                        help="built-in catalog group (instead of a config file)")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="accepted for compatibility and range-checked; has no effect")
         p.add_argument("--quiet", action="store_true",
                        help="suppress report prose on stdout")
 
@@ -142,10 +141,9 @@ def _resolve_group(args):
     if args.group is not None:
         return catalog_structure(args.group), None
     try:
-        cfg = parse_config(args.config)
+        return None, parse_config(args.config)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.config}: {exc.strerror or exc}") from None
-    return None, cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _structure(args):
@@ -189,8 +187,7 @@ def cmd_validate(args) -> int:
     sc, cfg = _resolve_group(args)
     if cfg is not None and not cfg.is_spectral:
         # the acceptance of realize(), with its report
-        _, report = accept_matrices(cfg.s_diagonal, cfg.l_matrices,
-                                    tol=cfg.tolerance, seed=cfg.seed)
+        _, report = accept_matrices(cfg.s_diagonal, cfg.l_matrices, tol=cfg.tolerance)
         for check in report.checks:
             _say(args, f"{'PASS' if check.passed else 'FAIL'}  {check.name}"
                        f"  (residual {check.residual:.3e})")
@@ -335,7 +332,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # checked wherever --seed is given, also where no seed is drawn
+        # checked wherever --seed is given, though no seed is drawn
         if args.seed is not None:
             check_seed(args.seed)
         code = _COMMANDS[args.command](args)

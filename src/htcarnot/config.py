@@ -8,9 +8,10 @@ JSON with exactly one of two forms:
   explicit: {"S_diagonal": [k reals],
              "L_matrices": [p row-major k x k arrays]}
 
-plus optional top-level "seed" (an integer in [0, 2**64)) and "tolerance"
-(real in (0, 1), default 1e-12, relative to the largest entry of S), both
-used to validate the explicit form.  Schema problems and the values
+plus optional top-level "tolerance" (real in (0, 1), default 1e-12,
+relative to the largest entry of S), used to validate the explicit form,
+and "seed" (an integer in [0, 2**64)), accepted for compatibility and
+range-checked; no check draws from it.  Schema problems and the values
 GroupSpec rejects raise ConfigError; a well-formed config that fails the
 mathematical checks raises StructureInvalid/SpecNotRealizable from
 realize(), and one with a non-finite matrix entry ValueError.
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .randomness import DEFAULT_SEED, check_seed
+from .randomness import check_seed
 from .structure import (
     GroupSpec,
     StructureConstants,
@@ -45,7 +46,6 @@ class ParsedConfig:
     spec: GroupSpec | None
     s_diagonal: np.ndarray | None
     l_matrices: np.ndarray | None
-    seed: int
     tolerance: float
 
     @property
@@ -53,11 +53,11 @@ class ParsedConfig:
         return self.spec is not None
 
     def realize(self) -> StructureConstants:
-        """build_structure(spec), or structure_from_matrices at tolerance and seed."""
+        """build_structure(spec), or structure_from_matrices at tolerance."""
         if self.spec is not None:
             return build_structure(self.spec)
         return structure_from_matrices(self.s_diagonal, self.l_matrices,
-                                       tol=self.tolerance, seed=self.seed)
+                                       tol=self.tolerance)
 
 
 def _real(value):
@@ -97,7 +97,7 @@ def parse_config(path) -> ParsedConfig:
                           "(S_diagonal/L_matrices)")
 
     try:
-        seed = check_seed(data.get("seed", DEFAULT_SEED))
+        check_seed(data.get("seed", 0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     tolerance = _real(data.get("tolerance", 1e-12))
@@ -111,8 +111,8 @@ def parse_config(path) -> ParsedConfig:
     if missing:
         raise ConfigError(f"{form} form is missing keys: {sorted(missing)}")
     if has_spectral:
-        return ParsedConfig(_parse_spectral(data), None, None, seed, tolerance)
-    return ParsedConfig(None, *_parse_explicit(data), seed, tolerance)
+        return ParsedConfig(_parse_spectral(data), None, None, tolerance)
+    return ParsedConfig(None, *_parse_explicit(data), tolerance)
 
 
 def _parse_spectral(data) -> GroupSpec:

@@ -25,13 +25,3 @@ def generator(seed: int = DEFAULT_SEED, stream: int = 0) -> np.random.Generator:
     """Return the Generator for the given seed and stream index."""
     key = np.array([check_seed(seed), stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Uniform random direction on the unit sphere of R^dim."""
-    w = rng.standard_normal(dim)
-    n = np.linalg.norm(w)
-    while n == 0.0:  # essentially impossible, but keeps the contract total
-        w = rng.standard_normal(dim)
-        n = np.linalg.norm(w)
-    return w / n

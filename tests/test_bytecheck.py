@@ -1,7 +1,9 @@
 """The command list of tools/bytecheck.py stays valid command-line input,
 and its output stays the one committed in tests/bytecheck.golden."""
 
+import contextlib
 import importlib.util
+import io
 import pathlib
 
 from htcarnot import cli
@@ -39,3 +41,20 @@ def test_bytecheck_output_matches_the_golden_file(tmp_path):
         "moves bytes regenerates tests/bytecheck.golden with "
         "`PYTHONPATH=src python tools/bytecheck.py > tests/bytecheck.golden` and lists "
         "the moved rows in CHANGES.md.\n" + "\n".join(moved[:20]))
+
+
+def test_perturbed_configs_fail_validation_at_every_seed(tmp_path):
+    # the worst unit pair misses the relation by 1.10e-12 and 1.25e-12; 64
+    # pairs drawn from --seed passed 33 and 10 of these 40 seeds
+    bytecheck = _bytecheck()
+    for eps in bytecheck.PERTURBED_EPS:
+        path = bytecheck.perturbed_config(tmp_path, eps)
+        runs = set()
+        for seed in range(40):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["validate", path, "--seed", str(seed)])
+            runs.add((code, out.getvalue()))
+        assert len(runs) == 1, f"{len(runs)} different runs at eps = {eps}"
+        (code, out), = runs
+        assert code == 1 and "FAIL  Clifford relations on all unit pairs" in out

@@ -22,7 +22,6 @@ from htcarnot import (
     parse_config,
 )
 from htcarnot.geodesics import _LOG_ENDPOINT
-from htcarnot.randomness import DEFAULT_SEED
 
 from conftest import edge_log_targets
 
@@ -65,12 +64,12 @@ def test_explicit_config_round_trip(tmp_path):
 
 
 def test_seed_and_tolerance_defaults(tmp_path):
+    # "seed" is accepted (its range is checked in test_spectral_schema_errors)
     cfg = parse_config(write_config(tmp_path, SPECTRAL))
-    assert cfg.seed == 0xC4A07
     assert cfg.tolerance == 1e-12
     cfg2 = parse_config(write_config(
         tmp_path, {**SPECTRAL, "seed": 7, "tolerance": 1e-9}, "b.json"))
-    assert cfg2.seed == 7 and cfg2.tolerance == 1e-9
+    assert cfg2.tolerance == 1e-9
 
 
 def test_equal_alphas_merge_into_one_block(tmp_path):
@@ -656,6 +655,19 @@ def test_import_leaves_numpy_random_unloaded():
     assert res.returncode == 0, res.stderr
 
 
+def test_validating_an_explicit_config_leaves_numpy_random_unloaded(tmp_path):
+    # validation draws nothing, whatever the config's seed
+    path = write_config(tmp_path, {**EXPLICIT, "seed": 5})
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from htcarnot import cli; "
+         f"assert cli.main(['validate', {str(path)!r}]) == 0; "
+         "assert 'numpy.random' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_import_leaves_numpy_polynomial_unloaded():
     # the Chebyshev basis is built with plain numpy on first use; the
     # Gauss-Legendre rule loads numpy.polynomial on the first quadrature
@@ -791,34 +803,37 @@ def test_sharpness_epsilon_validation():
 
 
 def _spy_validation(monkeypatch):
-    # the seed of every validate_structure call; accept_matrices, the one
+    # one entry per validate_structure call; accept_matrices, the one
     # acceptance of explicit (S, L), calls it by its name in structure
-    seeds = []
+    calls = []
     real = htcarnot.structure.validate_structure
 
-    def spy(*args, seed=DEFAULT_SEED, **kwargs):
-        seeds.append(seed)
-        return real(*args, seed=seed, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(htcarnot.structure, "validate_structure", spy)
-    return seeds
+    return calls
 
 
-def test_config_seed_flows_into_log_command(tmp_path, monkeypatch, capsys):
-    # both runs agree; --seed override still deterministic
-    cfgpath = write_config(tmp_path, {**EXPLICIT, "seed": 5})
-    args = ("log", str(cfgpath), "--x", "0,0", "--z", "0.4")
-    a = run_cli(*args)
-    b = run_cli(*args)
-    assert a.returncode == b.returncode == 2
-    assert a.stdout == b.stdout
-    c = run_cli(*args, "--seed", "11")
-    assert c.returncode == 2
-    # the config's seed, and then --seed, reach the validation
-    seeds = _spy_validation(monkeypatch)
-    assert cli.main(list(args)) == 2
-    assert cli.main([*args, "--seed", "11"]) == 2
-    assert seeds == [5, 11]
+def _main(capsys, argv):
+    # exit code, stdout and stderr of one in-process run
+    code = cli.main(argv)
+    return (code, *capsys.readouterr())
+
+
+def test_config_seed_changes_no_log_output(tmp_path, monkeypatch, capsys):
+    # the config's seed and --seed are accepted and feed nothing: a config
+    # without a seed, with one and with --seed give the same bytes
+    args = ["log", "--x", "0,0", "--z", "0.4"]
+    calls = _spy_validation(monkeypatch)
+    runs = [_main(capsys, [args[0], str(write_config(tmp_path, payload, name)),
+                           *args[1:], *override])
+            for payload, name, override in [(EXPLICIT, "a.json", []),
+                                            ({**EXPLICIT, "seed": 5}, "b.json", []),
+                                            ({**EXPLICIT, "seed": 5}, "b.json", ["--seed", "11"])]]
+    assert runs[0][0] == 2 and runs.count(runs[0]) == 3
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("seed", [None, 11])
@@ -831,13 +846,15 @@ def test_config_seed_flows_into_log_command(tmp_path, monkeypatch, capsys):
 ])
 def test_explicit_config_is_validated_once_at_its_seed(tmp_path, monkeypatch, capsys,
                                                         command, extra, seed):
-    # one acceptance in every command: the exact checks, then one validation
-    # at the config's seed, or at --seed where it is given
+    # one acceptance in every command: the exact checks, then one
+    # validation, which the config's seed and --seed do not change
     path = write_config(tmp_path, {**EXPLICIT, "seed": 5})
-    seeds = _spy_validation(monkeypatch)
-    override = [] if seed is None else ["--seed", str(seed)]
-    assert cli.main([command, str(path), *extra, *override]) == 0
-    assert seeds == [5 if seed is None else seed]
+    calls = _spy_validation(monkeypatch)
+    plain = _main(capsys, [command, str(path), *extra])
+    assert plain[0] == 0 and len(calls) == 1
+    if seed is not None:
+        assert _main(capsys, [command, str(path), *extra, "--seed", str(seed)]) == plain
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("command, extra", [("validate", []), ("exp", ["--u=1,0", "--v=1"])])
@@ -846,10 +863,10 @@ def test_exact_checks_come_before_the_validation(tmp_path, monkeypatch, capsys,
                                                  command, extra, name):
     # a config the exact checks reject prints no report row and one message
     path = write_config(tmp_path, EXPLICIT_EDGES[name])
-    seeds = _spy_validation(monkeypatch)
+    calls = _spy_validation(monkeypatch)
     assert cli.main([command, str(path), *extra]) == (1 if name == "odd" else 3)
     out, err = capsys.readouterr()
-    assert seeds == [] and out == "" and err.count("\n") == 1
+    assert calls == [] and out == "" and err.count("\n") == 1
 
 
 def test_version_flag():
