@@ -546,14 +546,17 @@ def validate_structure(S, L, tol: float = 1e-12,
                      f"normalized smallest singular value {dep:.3e}")
     )
 
-    # C[a, b] = L^a L^b + L^b L^a + 2 delta_ab S^2, then one p x p matrix
-    # C[:, :, r, s] per entry r <= s.  A non-finite one reports its largest
+    # one p x p matrix M[., a, b] = C[a, b][r, s] per entry r <= s, with
+    # C[a, b] = L^a L^b + L^b L^a + 2 delta_ab S^2: the entries of L^a L^b
+    # one a at a time, plus their (a, b) transpose, plus the diagonal, so
+    # no (p, p, k, k) array is formed.  A non-finite M reports its largest
     # entry, inf or NaN (np.max keeps a NaN), which then fails
-    LL = L[:, None] @ L[None]
-    C = LL + LL.transpose(1, 0, 2, 3)
-    C[np.arange(p), np.arange(p)] += 2.0 * (S @ S)
     r, s = np.triu_indices(k)
-    M = C[:, :, r, s].transpose(2, 0, 1)
+    M = np.empty((r.size, p, p))
+    for j in range(p):
+        M[:, j, :] = (L[j] @ L)[:, r, s].T
+    M += M.transpose(0, 2, 1)
+    M[:, np.arange(p), np.arange(p)] += 2.0 * (S @ S)[r, s][:, None]
     worst = np.linalg.eigvalsh(M) if np.isfinite(M).all() else M
     check("Clifford relations on all unit pairs", np.max(np.abs(worst)), unit * unit)
 

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import itertools
 import math
+import os
+import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from htcarnot import (
     GroupPoint,
     catalog_names,
     catalog_structure,
+    cli,
     exp_map,
     generator,
 )
@@ -41,6 +47,32 @@ def degenerate():
 def group(request):
     """Parametrized over the whole catalog."""
     return catalog_structure(request.param)
+
+
+def run_cli(*argv, cwd=None):
+    """`htcarnot *argv` run in process through ``cli.main``, in ``cwd`` if
+    given, as a CompletedProcess with its exit code, stdout and stderr.
+
+    A SystemExit (argparse's usage errors and --version) gives its code.
+    Every other exception propagates, and every warning is raised as an
+    error: where a fresh interpreter would print a traceback or a warning
+    on stderr, the test fails instead.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(home)
+    return subprocess.CompletedProcess(list(argv), code, stdout.getvalue(), stderr.getvalue())
 
 
 def full_grid(lower, upper, quad):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from htcarnot import (
 )
 from htcarnot.geodesics import _LOG_ENDPOINT
 
-from conftest import edge_log_targets
+from conftest import edge_log_targets, run_cli
 
 
 def write_config(tmp_path, payload, name="group.json"):
@@ -162,11 +163,62 @@ def test_unrealizable_spec_raises_on_realize(tmp_path):
 
 # --- command line ------------------------------------------------------------
 
-def run_cli(*argv, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "htcarnot.cli", *argv],
-        capture_output=True, text=True, cwd=cwd,
-    )
+def test_run_cli_matches_a_fresh_interpreter(tmp_path, monkeypatch):
+    # exit codes 0 to 3, the last an argparse usage error, --version and a
+    # CSV written to a path relative to the working directory
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    # the fresh interpreter imports the same htcarnot from any directory
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(htcarnot.__file__).parents[1]))
+    unrealizable = write_config(tmp_path, {"rank": 2, "corank": 2, "kernel_dim": 0,
+                                           "spectrum": [{"alpha": 1.0, "pair_multiplicity": 1}]})
+    argvs = [
+        ["validate", "--group", "heisenberg3"],
+        ["exp", str(unrealizable), "--u=1,0", "--v=0,0"],
+        ["log", "--group", "heisenberg3", "--x=0,0", "--z=1"],
+        ["nonsense"],
+        ["--version"],
+        ["exp", "--group", "heisenberg3", "--u=1,0.3", "--v=-0.7", "--steps", "4",
+         "--out", "arc.csv"],
+    ]
+    codes = []
+    for i, argv in enumerate(argvs):
+        here, there = tmp_path / f"in-{i}", tmp_path / f"fresh-{i}"
+        here.mkdir()
+        there.mkdir()
+        ours = run_cli(*argv, cwd=here)
+        fresh = subprocess.run([sys.executable, "-m", "htcarnot.cli", *argv],
+                               capture_output=True, text=True, cwd=there, env=env)
+        assert (ours.returncode, ours.stdout, ours.stderr) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert sorted(p.name for p in here.iterdir()) == sorted(p.name for p in there.iterdir())
+        for path in here.iterdir():
+            assert path.read_bytes() == (there / path.name).read_bytes()
+        codes.append(ours.returncode)
+    assert codes == [0, 1, 2, 3, 0, 0]
+    assert (tmp_path / f"in-{len(argvs) - 1}" / "arc.csv").exists()
+
+
+def test_run_cli_raises_what_a_shell_would_see_as_a_traceback(tmp_path, monkeypatch):
+    # an exception escapes and a warning is raised by the runner itself,
+    # whatever the suite's warning filters; the working directory comes back
+    home = os.getcwd()
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    def warn(args):
+        warnings.warn("boom", RuntimeWarning)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", crash)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cli("validate", "--group", "heisenberg3", cwd=tmp_path)
+    assert os.getcwd() == home
+    monkeypatch.setitem(cli._COMMANDS, "validate", warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeWarning, match="boom"):
+            run_cli("validate", "--group", "heisenberg3")
 
 
 def test_validate_catalog_group_exits_zero():

@@ -198,7 +198,7 @@ def test_heisenberg_vertical_distance_closed_form(heis):
         assert float(d) == pytest.approx(np.sqrt(4.0 * np.pi * z), abs=1e-12)
 
 
-def test_distance_bound_frozen_value(heis):
+def test_heisenberg_vertical_axis_distance_frozen_value(heis):
     got = distance(heis, identity(heis), GroupPoint([0.0, 0.0], [1.0])).value
     assert got == pytest.approx(3.5449077018110318, abs=1e-12)
     assert got == pytest.approx(np.sqrt(4.0 * np.pi), abs=1e-12)

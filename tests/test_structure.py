@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -288,6 +289,21 @@ def test_clifford_row_is_the_worst_unit_pair(p, blocks, kernel, eps, seed):
     if p == 1:
         # the one basis pair
         assert worst == float(np.max(np.abs(C[0, 0]))) / float(np.max(S)) ** 2
+
+
+def test_clifford_row_memory_stays_near_one_p_by_p_matrix_per_entry():
+    # rank 128, corank 15: one float64 15 x 15 matrix per entry r <= s is
+    # 15 MiB; the whole (p, p, k, k) tensor C_ab and its transposed copy
+    # peaked at 74 MiB
+    sc = build_structure(GroupSpec(128, 15, ((1.0, 64),)))
+    tracemalloc.start()
+    try:
+        report = validate_structure(sc.S, sc.L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 45 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 # ----------------------------------------------------------- re-ingestion
